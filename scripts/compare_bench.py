@@ -1,34 +1,54 @@
 #!/usr/bin/env python3
-"""Diff two google-benchmark JSON result files.
+"""Diff two benchmark result files: google-benchmark JSON or perfbench records.
 
 Usage:
   scripts/compare_bench.py BASELINE.json CONTENDER.json [--filter REGEX]
                            [--counters]
+  scripts/compare_bench.py BENCH_perf_<workload>.json
 
-Matches benchmarks by name, prints per-benchmark wall-time deltas and the
-speedup factor (baseline_time / contender_time; > 1 means the contender is
-faster), and a geometric-mean speedup over the matched set. With
---counters it also diffs every shared user counter (e.g. the calibration
-error metrics of BENCH_exec.json, where the counters — not the times —
-carry the model-quality result). Exits nonzero on malformed inputs or
-when no benchmark names match, so it can gate CI.
+google-benchmark files: matches benchmarks by name, prints per-benchmark
+wall-time deltas and the speedup factor (baseline_time / contender_time;
+> 1 means the contender is faster), and a geometric-mean speedup over the
+matched set. With --counters it also diffs every shared user counter
+(e.g. the calibration error metrics of BENCH_exec.json, where the
+counters — not the times — carry the model-quality result).
+
+perfbench files: each side is one record as perfbench/run.py keeps it
+({"workload": ..., "result": {"metrics": {name: {"value", "unit"}}}}) or
+a list of such records (seeds of one build), reduced to the per-metric
+median. A single file holding {"baseline": {"records": [...]},
+"contender": {"records": [...]}} compares its two sides. Every shared
+metric of BENCHMARK.json is printed with its relative change, signed so
+that positive means worse in that metric's better direction; an
+end-to-end metric worse by more than its bound is flagged and makes the
+exit code 1.
+
+Exits nonzero on malformed inputs or when nothing matches, so it can gate
+CI.
 """
 
 import argparse
 import json
 import math
+import os
 import re
+import statistics
 import sys
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-def load_benchmarks(path):
+
+def read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
+            return json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         sys.exit(f"error: cannot read benchmark JSON {path!r}: {exc}")
+
+
+def load_benchmarks(path, doc):
     out = {}
-    for bench in doc.get("benchmarks", []):
+    for bench in doc.get("benchmarks", []) if isinstance(doc, dict) else []:
         # Skip aggregate rows (mean/median/stddev of repetitions); compare
         # the raw iterations only.
         if bench.get("run_type") == "aggregate":
@@ -40,6 +60,70 @@ def load_benchmarks(path):
     if not out:
         sys.exit(f"error: {path!r} contains no benchmark entries")
     return out
+
+
+def perf_records(doc):
+    """The perfbench records of one side, or None if `doc` holds none."""
+    records = doc if isinstance(doc, list) else [doc]
+    if records and all(isinstance(r, dict) and "metrics" in r.get(
+            "result", {}) for r in records):
+        return records
+    return None
+
+
+def perf_medians(path, records):
+    workloads = {r.get("workload") for r in records}
+    if len(workloads) != 1:
+        sys.exit(f"error: {path!r} mixes workloads {sorted(map(str, workloads))}")
+    values = {}
+    for record in records:
+        for name, metric in record["result"]["metrics"].items():
+            values.setdefault(name, []).append(metric["value"])
+    return workloads.pop(), {n: statistics.median(v) for n, v in values.items()}
+
+
+def worsening(spec, base, cont):
+    """Relative change of `cont` against `base` in the metric's worse
+    direction: > 0 means worse, < 0 better."""
+    change = cont - base if spec["better"] == "lower" else base - cont
+    if base == 0:
+        return 0.0 if change == 0 else math.copysign(math.inf, change)
+    return change / abs(base)
+
+
+def compare_perf(base_path, base_records, cont_path, cont_records):
+    base_workload, base = perf_medians(base_path, base_records)
+    cont_workload, cont = perf_medians(cont_path, cont_records)
+    if base_workload != cont_workload:
+        sys.exit(f"error: workloads differ ({base_workload} vs {cont_workload})")
+    spec = read_json(os.path.join(ROOT, "BENCHMARK.json"))
+    specs = [s for s in spec["end_to_end"] + spec["per_layer"]
+             if s["name"] in base and s["name"] in cont]
+    if not specs:
+        sys.exit("error: no common perfbench metrics to compare")
+    print(f"workload {base_workload}: {len(base_records)} baseline vs "
+          f"{len(cont_records)} contender record(s), medians")
+    width = max(len(s["name"]) for s in specs)
+    print(f"{'metric':<{width}}  {'unit':>6}  {'baseline':>12}  "
+          f"{'contender':>12}  {'worse by':>9}  {'bound':>6}")
+    flagged = []
+    for s in specs:
+        name = s["name"]
+        worse = worsening(s, base[name], cont[name])
+        bound = s.get("bound")
+        verdict = ""
+        if bound is not None and worse > bound:
+            verdict = "  OUT OF BOUND"
+            flagged.append(name)
+        bound_text = f"{bound:.0%}" if bound is not None else "-"
+        print(f"{name:<{width}}  {s['unit']:>6}  {base[name]:>12.4g}  "
+              f"{cont[name]:>12.4g}  {worse:>+9.1%}  {bound_text:>6}{verdict}")
+    if flagged:
+        print(f"\n{len(flagged)} metric(s) worse beyond their bound: "
+              f"{', '.join(flagged)}")
+        return 1
+    print("\nno end-to-end metric worse beyond its bound")
+    return 0
 
 
 def fmt_time(value, unit):
@@ -90,7 +174,9 @@ def print_counter_diffs(names, base, cont):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline", help="baseline results (JSON)")
-    parser.add_argument("contender", help="new results (JSON)")
+    parser.add_argument(
+        "contender", nargs="?",
+        help="new results (JSON); omit for a perfbench baseline/contender file")
     parser.add_argument(
         "--filter", default=None, metavar="REGEX",
         help="only compare benchmarks whose name matches REGEX")
@@ -99,8 +185,23 @@ def main():
         help="also diff user counters shared by baseline and contender")
     args = parser.parse_args()
 
-    base = load_benchmarks(args.baseline)
-    cont = load_benchmarks(args.contender)
+    base_doc = read_json(args.baseline)
+    if args.contender is None:
+        sides = [base_doc.get(k, {}).get("records")
+                 if isinstance(base_doc, dict) else None
+                 for k in ("baseline", "contender")]
+        if not all(sides):
+            sys.exit(f"error: {args.baseline!r} has no baseline and "
+                     "contender records; pass two files")
+        return compare_perf(args.baseline, sides[0], args.baseline, sides[1])
+    cont_doc = read_json(args.contender)
+    base_records, cont_records = perf_records(base_doc), perf_records(cont_doc)
+    if base_records is not None and cont_records is not None:
+        return compare_perf(args.baseline, base_records, args.contender,
+                            cont_records)
+
+    base = load_benchmarks(args.baseline, base_doc)
+    cont = load_benchmarks(args.contender, cont_doc)
     names = [n for n in base if n in cont]
     if args.filter:
         pattern = re.compile(args.filter)
@@ -128,7 +229,8 @@ def main():
           f"{geomean:.2f}x (baseline/contender, >1 = contender faster)")
     if args.counters:
         print_counter_diffs(names, base, cont)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

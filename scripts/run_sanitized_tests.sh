@@ -32,6 +32,13 @@
 # missing happens-before edge on either handoff shows up as a TSan race
 # on the connection's parser/output buffers.
 #
+# SchedService::Handle adds a third seam: results leave mu_ by move.
+# OnlineScheduler::TakeResult moves a query's placed phases out under the
+# lock and the reply is encoded after unlocking, so a worker encoding must
+# share nothing with the scheduler another worker is driving.
+# SchedServerTest.ConcurrentHandleEncodesUnlockedAndRetainsNoResults runs
+# four threads through Handle at once to hold that under TSan.
+#
 # Usage: scripts/run_sanitized_tests.sh [ctest args...]
 
 set -euo pipefail

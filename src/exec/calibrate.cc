@@ -3,21 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/json_writer.h"
 #include "common/str_util.h"
 #include "exec/execute_backend.h"
 
 namespace mrs {
 namespace {
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
 
 const char* MeterName(ExecMeter meter) {
   return meter == ExecMeter::kThreadCpu ? "thread_cpu" : "deterministic";
@@ -202,29 +193,30 @@ double Calibrator::MeanRelativeError(bool fitted) const {
 
 std::string Calibrator::ReportJson() const {
   const std::vector<double> scale = FitScale();
-  std::string out = "{\n";
-  out += "  \"calibration_report_version\": 1,\n";
-  out += StrFormat("  \"meter\": \"%s\",\n", MeterName(exec_.meter));
-  out += StrFormat("  \"data_seed\": %llu,\n",
-                   static_cast<unsigned long long>(exec_.data_seed));
-  out += StrFormat("  \"skew\": %.3f,\n", exec_.skew);
-  out += StrFormat("  \"max_rows_per_op\": %lld,\n",
-                   static_cast<long long>(exec_.max_rows_per_op));
-  out += StrFormat("  \"eps\": %.3f,\n", usage_.epsilon());
-  out += StrFormat("  \"dims\": %d,\n", dims_);
-  out += StrFormat("  \"plans\": %d,\n", num_plans());
-  out += StrFormat("  \"clone_samples\": %d,\n", num_clone_samples());
-  out += "  \"fitted_scale\": [";
+  std::string out;
+  JsonWriter w(&out);
+  w.Raw("{\n  \"calibration_report_version\": 1,\n");
+  w.Raw("  \"meter\": ").Str(MeterName(exec_.meter)).Raw(",\n");
+  w.Raw("  \"data_seed\": ").UInt(exec_.data_seed).Raw(",\n");
+  w.Raw("  \"skew\": ").Num(exec_.skew, 3).Raw(",\n");
+  w.Raw("  \"max_rows_per_op\": ").Int(exec_.max_rows_per_op).Raw(",\n");
+  w.Raw("  \"eps\": ").Num(usage_.epsilon(), 3).Raw(",\n");
+  w.Raw("  \"dims\": ").Int(dims_).Raw(",\n");
+  w.Raw("  \"plans\": ").Int(num_plans()).Raw(",\n");
+  w.Raw("  \"clone_samples\": ").Int(num_clone_samples()).Raw(",\n");
+  w.Raw("  \"fitted_scale\": [");
   for (size_t i = 0; i < scale.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += StrFormat("%.9g", scale[i]);
+    if (i > 0) w.Raw(", ");
+    w.NumG(scale[i], 9);
   }
-  out += "],\n";
-  out += StrFormat("  \"mean_rel_error_unfitted\": %.6f,\n",
-                   MeanRelativeError(/*fitted=*/false));
-  out += StrFormat("  \"mean_rel_error_fitted\": %.6f,\n",
-                   MeanRelativeError(/*fitted=*/true));
-  out += "  \"per_plan\": [";
+  w.Raw("],\n");
+  w.Raw("  \"mean_rel_error_unfitted\": ")
+      .Num(MeanRelativeError(/*fitted=*/false))
+      .Raw(",\n");
+  w.Raw("  \"mean_rel_error_fitted\": ")
+      .Num(MeanRelativeError(/*fitted=*/true))
+      .Raw(",\n");
+  w.Raw("  \"per_plan\": [");
   for (size_t k = 0; k < plans_.size(); ++k) {
     const PlanSample& plan = plans_[k];
     double fitted_makespan = 0.0;
@@ -232,26 +224,24 @@ std::string Calibrator::ReportJson() const {
       fitted_makespan =
           std::max(fitted_makespan, FittedSiteTime(scale, site));
     }
-    out += k > 0 ? ",\n    {" : "\n    {";
-    out += StrFormat("\"label\": \"%s\", ", EscapeJson(plan.label).c_str());
-    out += StrFormat("\"predicted_makespan_ms\": %.6f, ",
-                     plan.predicted_makespan);
-    out += StrFormat("\"measured_makespan\": %.6f, ", plan.measured_makespan);
-    out += StrFormat("\"fitted_makespan\": %.6f, \"sites\": [",
-                     fitted_makespan);
+    w.Raw(k > 0 ? ",\n    {" : "\n    {");
+    w.Raw("\"label\": ").Str(plan.label).Raw(", ");
+    w.Raw("\"predicted_makespan_ms\": ").Num(plan.predicted_makespan);
+    w.Raw(", \"measured_makespan\": ").Num(plan.measured_makespan);
+    w.Raw(", \"fitted_makespan\": ").Num(fitted_makespan);
+    w.Raw(", \"sites\": [");
     for (size_t s = 0; s < plan.sites.size(); ++s) {
       const SiteSample& site = plan.sites[s];
-      if (s > 0) out += ", ";
-      out += StrFormat(
-          "{\"site\": %d, \"predicted_ms\": %.6f, \"measured\": %.6f, "
-          "\"fitted\": %.6f}",
-          site.site, site.predicted, site.measured,
-          FittedSiteTime(scale, site));
+      if (s > 0) w.Raw(", ");
+      w.Raw("{\"site\": ").Int(site.site);
+      w.Raw(", \"predicted_ms\": ").Num(site.predicted);
+      w.Raw(", \"measured\": ").Num(site.measured);
+      w.Raw(", \"fitted\": ").Num(FittedSiteTime(scale, site)).Raw("}");
     }
-    out += "]}";
+    w.Raw("]}");
   }
-  out += plans_.empty() ? "]\n" : "\n  ]\n";
-  out += "}\n";
+  w.Raw(plans_.empty() ? "]\n" : "\n  ]\n");
+  w.Raw("}\n");
   return out;
 }
 

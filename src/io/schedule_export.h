@@ -9,6 +9,9 @@
 
 namespace mrs {
 
+// Every encoder appends through one JsonWriter (common/json_writer.h):
+// numbers print as "%.6f" does, non-finite values as null.
+
 /// Serializes one phase schedule as JSON:
 /// {"num_sites":P,"dims":d,"makespan":...,"sites":[{"site":j,"time":...,
 ///  "load":[...],"clones":[{"op":...,"clone":...,"work":[...],
@@ -19,6 +22,11 @@ std::string ScheduleToJson(const Schedule& schedule);
 /// {"response_time":...,"phases":[{"phase":k,"makespan":...,
 ///  "schedule":{...}}]}
 std::string TreeScheduleToJson(const TreeScheduleResult& result);
+
+/// Appends the TreeScheduleToJson bytes to `out`, so an envelope (the
+/// service reply) embeds the schedule without an intermediate copy.
+void AppendTreeScheduleJson(const TreeScheduleResult& result,
+                            std::string* out);
 
 /// Per-site CSV (one row per site per phase):
 /// phase,site,site_time,load_cpu,load_...,num_clones

@@ -1,86 +1,54 @@
 #include "io/trace_export.h"
 
-#include "common/str_util.h"
+#include "common/json_writer.h"
 
 namespace mrs {
 
 namespace {
 
-/// Minimal JSON string escaping: quotes, backslashes, and control
-/// characters (attribute values are scheduler-generated but may embed
-/// arbitrary plan names).
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
+void AppendSpanJson(const TraceSpan& span, JsonWriter* out) {
+  out->Raw("{\"name\":").Str(span.name).Raw(",\"phase\":").Int(span.phase);
+  out->Raw(",\"start_ms\":").Num(span.start_ms);
+  out->Raw(",\"end_ms\":").Num(span.end_ms).Raw(",\"attrs\":{");
+  for (size_t i = 0; i < span.attrs.size(); ++i) {
+    if (i > 0) out->Raw(",");
+    out->Str(span.attrs[i].first).Raw(":").Str(span.attrs[i].second);
   }
-  return out;
+  out->Raw("}}");
 }
 
-std::string SpanToJson(const TraceSpan& span) {
-  std::string out = StrFormat(
-      "{\"name\":\"%s\",\"phase\":%d,\"start_ms\":%.6f,\"end_ms\":%.6f,"
-      "\"attrs\":{",
-      EscapeJson(span.name).c_str(), span.phase, span.start_ms, span.end_ms);
-  for (size_t i = 0; i < span.attrs.size(); ++i) {
-    if (i > 0) out += ",";
-    out += StrFormat("\"%s\":\"%s\"", EscapeJson(span.attrs[i].first).c_str(),
-                     EscapeJson(span.attrs[i].second).c_str());
+void AppendTraceJson(const ScheduleTrace& trace, JsonWriter* out) {
+  out->Raw("{\"label\":").Str(trace.label()).Raw(",\"spans\":[");
+  const std::vector<TraceSpan> spans = trace.spans();
+  for (size_t i = 0; i < spans.size(); ++i) {
+    if (i > 0) out->Raw(",");
+    AppendSpanJson(spans[i], out);
   }
-  out += "}}";
-  return out;
+  out->Raw("]}");
 }
 
 }  // namespace
 
 std::string TraceToJson(const ScheduleTrace& trace) {
-  std::string out =
-      StrFormat("{\"label\":\"%s\",\"spans\":[",
-                EscapeJson(trace.label()).c_str());
-  const std::vector<TraceSpan> spans = trace.spans();
-  for (size_t i = 0; i < spans.size(); ++i) {
-    if (i > 0) out += ",";
-    out += SpanToJson(spans[i]);
-  }
-  out += "]}";
+  std::string out;
+  JsonWriter w(&out);
+  AppendTraceJson(trace, &w);
   return out;
 }
 
 std::string ExportTraceReport(const std::vector<const ScheduleTrace*>& traces,
                               const MetricsSnapshot& metrics) {
-  std::string out = StrFormat("{\"version\":%d,\"traces\":[",
-                              kTraceExportVersion);
+  std::string out;
+  JsonWriter w(&out);
+  w.Raw("{\"version\":").Int(kTraceExportVersion).Raw(",\"traces\":[");
   bool first = true;
   for (const ScheduleTrace* trace : traces) {
     if (trace == nullptr) continue;
-    if (!first) out += ",";
+    if (!first) w.Raw(",");
     first = false;
-    out += TraceToJson(*trace);
+    AppendTraceJson(*trace, &w);
   }
-  out += StrFormat("],\"metrics\":%s}", metrics.ToJson().c_str());
+  w.Raw("],\"metrics\":").Raw(metrics.ToJson()).Raw("}");
   return out;
 }
 

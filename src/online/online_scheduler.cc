@@ -92,6 +92,8 @@ struct OnlineScheduler::QueryRec {
   std::vector<OperatorCost> costs;
   std::unique_ptr<PhasePlanner> planner;
   bool fully_placed = false;
+  /// TakeResult handed the result out: erase the record once terminal.
+  bool taken = false;
 };
 
 OnlineScheduler::OnlineScheduler(const CostParams& params,
@@ -478,7 +480,12 @@ void OnlineScheduler::CompleteQuery(QueryRec* rec, double at_ms) {
   rec->costs.clear();
   rec->costs.shrink_to_fit();
   UpdateGauges();
+  const bool taken = rec->taken;
+  const uint64_t id = rec->result.id;
   TryAdmitFromQueue();
+  // Only a fully placed (hence running, never aborted or expired) query
+  // can have been taken, so completion is where its record retires.
+  if (taken) queries_.erase(id);
 }
 
 void OnlineScheduler::AbortQuery(QueryRec* rec, Status status) {
@@ -595,6 +602,30 @@ bool OnlineScheduler::Resolved(uint64_t id) const {
 const OnlineQueryResult* OnlineScheduler::result(uint64_t id) const {
   auto it = queries_.find(id);
   return it == queries_.end() ? nullptr : &it->second->result;
+}
+
+Result<OnlineQueryResult> OnlineScheduler::TakeResult(uint64_t id) {
+  auto it = queries_.find(id);
+  if (it == queries_.end()) {
+    return Status::NotFound(StrFormat(
+        "unknown query id %llu", static_cast<unsigned long long>(id)));
+  }
+  if (!Resolved(id)) {
+    return Status::FailedPrecondition(StrFormat(
+        "query %llu is not resolved", static_cast<unsigned long long>(id)));
+  }
+  OnlineQueryResult& kept = it->second->result;
+  std::vector<PhaseSchedule> phases = std::exchange(kept.schedule.phases, {});
+  std::vector<OnlinePhaseTiming> timings = std::exchange(kept.timings, {});
+  OnlineQueryResult out = kept;  // what is left: scalars, status, trace
+  out.schedule.phases = std::move(phases);
+  out.timings = std::move(timings);
+  if (kept.terminal()) {
+    queries_.erase(it);
+  } else {
+    it->second->taken = true;
+  }
+  return out;
 }
 
 std::vector<WorkVector> OnlineScheduler::ResidualLoad() const {

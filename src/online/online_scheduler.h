@@ -187,9 +187,21 @@ class OnlineScheduler {
   bool Resolved(uint64_t id) const;
 
   double now() const { return now_; }
-  /// Result of a submitted query; nullptr for unknown ids. Valid until the
-  /// scheduler dies (results of finished queries are kept).
+  /// Result of a submitted query; nullptr for unknown ids and for ids
+  /// whose result was taken (TakeResult) and whose query has since ended.
+  /// Otherwise valid until the scheduler dies: results nobody takes are
+  /// kept, finished queries included.
   const OnlineQueryResult* result(uint64_t id) const;
+
+  /// Hands a Resolved() query's result to the caller and stops retaining
+  /// it. The placed phases and timings are moved out, not copied. A
+  /// terminal query's record is erased at once; a running query keeps
+  /// only the scalars its completion still needs (state, admit_ms, the
+  /// response time) — result() shows it with no phases — and its record
+  /// is erased when it completes. NotFound for an unknown (or already
+  /// taken and ended) id, FailedPrecondition while the query is not yet
+  /// Resolved().
+  Result<OnlineQueryResult> TakeResult(uint64_t id);
 
   /// Residual load per site at now(): the summed remaining work vectors of
   /// all in-flight clones. Exactly zero on an idle system.

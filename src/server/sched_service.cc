@@ -1,7 +1,10 @@
 #include "server/sched_service.h"
 
+#include <cmath>
 #include <cstdlib>
+#include <utility>
 
+#include "common/json_writer.h"
 #include "common/str_util.h"
 #include "io/plan_text.h"
 #include "io/schedule_export.h"
@@ -10,42 +13,13 @@ namespace mrs {
 
 namespace {
 
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string ErrorResponse(const char* status, const Status& why) {
-  return StrFormat(
-      "{\"status\":\"%s\",\"code\":\"%s\",\"message\":\"%s\"}", status,
-      std::string(StatusCodeToString(why.code())).c_str(),
-      EscapeJson(why.message()).c_str());
+  std::string out;
+  JsonWriter w(&out);
+  w.Raw("{\"status\":").Str(status);
+  w.Raw(",\"code\":").Str(StatusCodeToString(why.code()));
+  w.Raw(",\"message\":").Str(why.message()).Raw("}");
+  return out;
 }
 
 struct ParsedRequest {
@@ -77,6 +51,12 @@ Result<ParsedRequest> ParseRequest(const std::string& request) {
       return Status::InvalidArgument(
           StrFormat("malformed directive: %s", line.c_str()));
     }
+    // inf or nan would move the shared virtual clock (or a deadline)
+    // beyond every later request and poison their replies.
+    if (!std::isfinite(out.arrival_ms) || !std::isfinite(out.timeout_ms)) {
+      return Status::InvalidArgument(
+          StrFormat("non-finite directive: %s", line.c_str()));
+    }
     pos = eol < request.size() ? eol + 1 : eol;
   }
   out.plan_text = request.substr(pos);
@@ -105,23 +85,30 @@ std::string SchedService::Handle(const std::string& request) {
             "optimizer first (sched_cli --optimize)"));
   }
 
-  std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t id = scheduler_.Submit(*parsed_plan->plan,
-                                        parsed_request->arrival_ms,
-                                        parsed_request->timeout_ms);
-  const Status resolved = scheduler_.ResolveQuery(id);
-  if (!resolved.ok()) {
-    return ErrorResponse("error", resolved);
+  // Only the scheduler itself is serialized: the result leaves mu_ by
+  // move, and the reply is encoded after unlocking, concurrently with
+  // other requests.
+  OnlineQueryResult result;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const uint64_t id = scheduler_.Submit(*parsed_plan->plan,
+                                          parsed_request->arrival_ms,
+                                          parsed_request->timeout_ms);
+    const Status resolved = scheduler_.ResolveQuery(id);
+    if (!resolved.ok()) {
+      return ErrorResponse("error", resolved);
+    }
+    auto taken = scheduler_.TakeResult(id);
+    if (!taken.ok()) {
+      return ErrorResponse("error", taken.status());
+    }
+    result = std::move(taken).value();
   }
-  const OnlineQueryResult* result = scheduler_.result(id);
-  if (result == nullptr) {
-    return ErrorResponse("error", Status::Internal("query result vanished"));
-  }
-  switch (result->state) {
+  switch (result.state) {
     case OnlineQueryState::kRejected:
-      return ErrorResponse("rejected", result->status);
+      return ErrorResponse("rejected", result.status);
     case OnlineQueryState::kTimedOut:
-      return ErrorResponse("timeout", result->status);
+      return ErrorResponse("timeout", result.status);
     case OnlineQueryState::kQueued:
       return ErrorResponse("error",
                            Status::Internal("query resolved while queued"));
@@ -129,14 +116,18 @@ std::string SchedService::Handle(const std::string& request) {
     case OnlineQueryState::kDone:
       break;
   }
-  return StrFormat(
-      "{\"status\":\"ok\",\"id\":%llu,\"arrival_ms\":%.6f,"
-      "\"admit_ms\":%.6f,\"queue_wait_ms\":%.6f,\"finish_ms\":%.6f,"
-      "\"response_ms\":%.6f,\"schedule\":%s}",
-      static_cast<unsigned long long>(result->id), result->arrival_ms,
-      result->admit_ms, result->QueueWaitMs(), result->ProjectedFinishMs(),
-      result->schedule.response_time,
-      TreeScheduleToJson(result->schedule).c_str());
+  std::string reply;
+  JsonWriter w(&reply);
+  w.Raw("{\"status\":\"ok\",\"id\":").UInt(result.id);
+  w.Raw(",\"arrival_ms\":").Num(result.arrival_ms);
+  w.Raw(",\"admit_ms\":").Num(result.admit_ms);
+  w.Raw(",\"queue_wait_ms\":").Num(result.QueueWaitMs());
+  w.Raw(",\"finish_ms\":").Num(result.ProjectedFinishMs());
+  w.Raw(",\"response_ms\":").Num(result.schedule.response_time);
+  w.Raw(",\"schedule\":");
+  AppendTreeScheduleJson(result.schedule, &reply);
+  w.Raw("}");
+  return reply;
 }
 
 }  // namespace mrs

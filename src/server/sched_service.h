@@ -35,10 +35,16 @@ struct SchedServiceOptions {
 ///   timed out: {"status":"timeout","code":"DeadlineExceeded","message":...}
 ///   bad input: {"status":"error","code":...,"message":...}
 ///
-/// Handle() serializes requests on an internal mutex (the scheduler is
-/// single-threaded by design), so concurrent connections are safe; on an
-/// otherwise idle system the embedded "schedule" JSON is byte-identical
-/// to the offline TreeScheduleToJson output for the same plan.
+/// Concurrent Handle() calls are safe. The internal mutex covers only the
+/// scheduler, which is single-threaded by design: Submit, ResolveQuery and
+/// TakeResult, which moves the result out so the scheduler retains no
+/// served schedule. Request parsing before it and reply encoding after it
+/// run unlocked, in parallel across callers. On an otherwise idle system
+/// the embedded "schedule" JSON is byte-identical to the offline
+/// TreeScheduleToJson output for the same plan.
+///
+/// Non-finite directive values (inf, nan) are rejected as InvalidArgument
+/// and no number in a reply is printed as a bare inf or nan.
 class SchedService {
  public:
   explicit SchedService(const SchedServiceOptions& options = {});
@@ -51,11 +57,12 @@ class SchedService {
   virtual std::string Handle(const std::string& request);
 
   /// The underlying scheduler. Callers must not touch it while another
-  /// thread may be inside Handle (test/diagnostic aid).
+  /// thread may be inside Handle (test/diagnostic aid). Queries served by
+  /// Handle no longer appear in it once they have ended.
   OnlineScheduler* scheduler() { return &scheduler_; }
 
  private:
-  std::mutex mu_;
+  std::mutex mu_;  // guards scheduler_ only
   OnlineScheduler scheduler_;
 };
 

@@ -14,12 +14,14 @@
 #include "core/tree_schedule.h"
 #include "exec/calibrate.h"
 #include "exec/exec_backend.h"
+#include "json_checker.h"
 #include "test_util.h"
 
 namespace mrs {
 namespace {
 
 using testing_util::BushyFourWayFixture;
+using testing_util::JsonChecker;
 using testing_util::PipelinedChainFixture;
 using testing_util::PlanFixture;
 
@@ -172,6 +174,23 @@ TEST(CalibratorTest, ReportJsonCarriesTheSchemaAndIsDeterministic) {
   ASSERT_TRUE(
       again.AddSchedule("bushy-list", c.list.schedule, c.specs).ok());
   EXPECT_EQ(report, again.ReportJson());
+}
+
+/// Plan labels are caller text: control characters, quotes and
+/// backslashes in them must not break the report's JSON.
+TEST(CalibratorTest, ReportJsonEscapesLabels) {
+  CalibrationFixture c = MakeCalibrationFixture(BushyFourWayFixture());
+  Calibrator calibrator(c.machine.dims, c.usage, DeterministicExec());
+  ASSERT_TRUE(
+      calibrator.AddTreePlan("two\nlines \"quoted\" \\ tab\t\x01", c.tree,
+                             c.specs)
+          .ok());
+  const std::string report = calibrator.ReportJson();
+  EXPECT_TRUE(JsonChecker(report).Valid()) << report;
+  EXPECT_NE(report.find(
+                "\"label\": \"two\\nlines \\\"quoted\\\" \\\\ tab\\t\\u0001\""),
+            std::string::npos)
+      << report;
 }
 
 /// The honest meter still produces a structurally valid report; no value

@@ -457,6 +457,97 @@ TEST(OnlineSchedulerTest, ResolveUnknownQueryIsNotFound) {
   EXPECT_FALSE(sched.Resolved(42));
 }
 
+TEST(OnlineSchedulerTest, TakeResultMovesTheScheduleOutAndRetiresTheRecord) {
+  PlanFixture fx = BushyFourWayFixture();
+  MachineConfig machine;
+  const TreeScheduleResult offline = OfflineSchedule(fx, machine);
+
+  MetricsRegistry metrics;
+  OnlineSchedulerOptions options;
+  options.metrics = &metrics;
+  OnlineScheduler sched(CostParams{}, machine, options);
+  const uint64_t id = sched.Submit(*fx.plan);
+  ASSERT_TRUE(sched.ResolveQuery(id).ok());
+  const OnlineQueryResult* kept = sched.result(id);
+  ASSERT_NE(kept, nullptr);
+  const double projected = kept->ProjectedFinishMs();
+
+  auto taken = sched.TakeResult(id);
+  ASSERT_TRUE(taken.ok()) << taken.status().ToString();
+  EXPECT_EQ(taken->id, id);
+  EXPECT_EQ(taken->state, OnlineQueryState::kRunning);
+  EXPECT_EQ(TreeScheduleToJson(taken->schedule), TreeScheduleToJson(offline));
+  EXPECT_EQ(taken->timings.size(), offline.phases.size());
+  EXPECT_DOUBLE_EQ(taken->ProjectedFinishMs(), projected);
+
+  // Still running: the record keeps its scalars but no phases.
+  kept = sched.result(id);
+  ASSERT_NE(kept, nullptr);
+  EXPECT_TRUE(kept->schedule.phases.empty());
+  EXPECT_TRUE(kept->timings.empty());
+  EXPECT_DOUBLE_EQ(kept->ProjectedFinishMs(), projected);
+  EXPECT_EQ(sched.in_flight(), 1);
+  EXPECT_TRUE(sched.CheckInvariants().ok());
+
+  // Completion retires it; the clock and counters behave as if untaken.
+  ASSERT_TRUE(sched.Drain().ok());
+  EXPECT_EQ(sched.result(id), nullptr);
+  EXPECT_EQ(sched.in_flight(), 0);
+  EXPECT_DOUBLE_EQ(sched.now(), projected);
+  EXPECT_TRUE(sched.CheckInvariants().ok());
+  EXPECT_EQ(sched.TakeResult(id).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(metrics.Snapshot().CounterValue("online.admitted"), 1u);
+}
+
+TEST(OnlineSchedulerTest, TakeResultOfATerminalQueryErasesItAtOnce) {
+  PlanFixture fx = SingleJoinFixture(6000, 3000);
+  MachineConfig machine;
+  MetricsRegistry metrics;
+  OnlineSchedulerOptions options;
+  options.metrics = &metrics;
+  options.admission.max_in_flight = 1;
+  options.admission.max_queue_depth = 0;
+  OnlineScheduler sched(CostParams{}, machine, options);
+  const uint64_t a = sched.Submit(*fx.plan);
+  const uint64_t b = sched.Submit(*fx.plan);  // queue full: rejected
+  ASSERT_TRUE(sched.Resolved(b));
+
+  auto rejected = sched.TakeResult(b);
+  ASSERT_TRUE(rejected.ok());
+  EXPECT_EQ(rejected->state, OnlineQueryState::kRejected);
+  EXPECT_EQ(rejected->status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(sched.result(b), nullptr);
+
+  ASSERT_TRUE(sched.Drain().ok());
+  auto done = sched.TakeResult(a);
+  ASSERT_TRUE(done.ok());
+  EXPECT_EQ(done->state, OnlineQueryState::kDone);
+  EXPECT_FALSE(done->schedule.phases.empty());
+  EXPECT_EQ(sched.result(a), nullptr);
+  EXPECT_TRUE(sched.CheckInvariants().ok());
+}
+
+TEST(OnlineSchedulerTest, TakeResultNeedsAResolvedQuery) {
+  PlanFixture fx = SingleJoinFixture(6000, 3000);
+  MachineConfig machine;
+  MetricsRegistry metrics;
+  OnlineSchedulerOptions options;
+  options.metrics = &metrics;
+  options.admission.max_in_flight = 1;
+  OnlineScheduler sched(CostParams{}, machine, options);
+  const uint64_t a = sched.Submit(*fx.plan);
+  const uint64_t b = sched.Submit(*fx.plan);  // queued behind a
+  EXPECT_EQ(sched.TakeResult(b).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(sched.TakeResult(77).status().code(), StatusCode::kNotFound);
+  ASSERT_NE(sched.result(b), nullptr);
+  ASSERT_TRUE(sched.ResolveQuery(b).ok());
+  EXPECT_TRUE(sched.TakeResult(b).ok());
+  ASSERT_TRUE(sched.Drain().ok());
+  EXPECT_NE(sched.result(a), nullptr);  // never taken: kept
+  EXPECT_EQ(sched.result(b), nullptr);
+}
+
 TEST(OnlineSchedulerTest, ListEngineIdleMatchesOfflineListSchedule) {
   PlanFixture fx = BushyFourWayFixture();
   MachineConfig machine;

@@ -2,22 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/str_util.h"
 #include "core/tree_schedule.h"
 #include "io/plan_text.h"
 #include "io/schedule_export.h"
 #include "server/sched_client.h"
 #include "server/sched_service.h"
+#include "json_checker.h"
 #include "test_util.h"
 
 namespace mrs {
 namespace {
 
+using testing_util::BushyFourWayFixture;
+using testing_util::JsonChecker;
 using testing_util::MakeFixture;
 using testing_util::PlanFixture;
 
@@ -174,6 +180,115 @@ TEST(SchedServerTest, MalformedRequestsYieldErrorResponses) {
 
   response = service.Handle("@frobnicate 1\nrelation r 10\nplan (scan r)");
   EXPECT_TRUE(HasStatus(response, "error")) << response;
+}
+
+TEST(SchedServerTest, NonFiniteDirectivesAreRejectedAndLeaveTheClockAlone) {
+  PlanFixture fx = SingleJoinFixture(4000, 2000);
+  const std::string plan = PlanTextOf(fx);
+  SchedServiceOptions options;
+  MetricsRegistry metrics;
+  options.online.metrics = &metrics;
+  SchedService service(options);
+  for (const char* directive :
+       {"@arrival inf", "@arrival nan", "@arrival -inf", "@arrival 1e999",
+        "@timeout inf", "@timeout nan"}) {
+    const std::string response =
+        service.Handle(std::string(directive) + "\n" + plan);
+    EXPECT_TRUE(HasStatus(response, "error")) << response;
+    EXPECT_NE(response.find("\"code\":\"InvalidArgument\""),
+              std::string::npos)
+        << response;
+    EXPECT_TRUE(JsonChecker(response).Valid()) << response;
+  }
+  EXPECT_EQ(service.scheduler()->now(), 0.0);
+  EXPECT_EQ(metrics.Snapshot().CounterValue("online.submitted"), 0u);
+
+  // The next ordinary request sees an unpoisoned clock.
+  const std::string response = service.Handle("@arrival 10\n" + plan);
+  ASSERT_TRUE(HasStatus(response, "ok")) << response;
+  EXPECT_TRUE(JsonChecker(response).Valid()) << response;
+  EXPECT_NE(response.find("\"arrival_ms\":10.000000,\"admit_ms\":10.000000,"
+                          "\"queue_wait_ms\":0.000000"),
+            std::string::npos)
+      << response;
+}
+
+TEST(SchedServerTest, ConcurrentHandleEncodesUnlockedAndRetainsNoResults) {
+  // Two plans, so a reply carrying the wrong schedule cannot pass.
+  const PlanFixture fixtures[] = {SingleJoinFixture(6000, 3000),
+                                  BushyFourWayFixture()};
+  std::string plans[2], offline_json[2];
+  OverlapUsageModel usage(0.5);
+  for (int p = 0; p < 2; ++p) {
+    plans[p] = PlanTextOf(fixtures[p]);
+    auto offline = TreeSchedule(fixtures[p].op_tree, fixtures[p].task_tree,
+                                fixtures[p].costs, CostParams{},
+                                MachineConfig{}, usage);
+    ASSERT_TRUE(offline.ok());
+    offline_json[p] = TreeScheduleToJson(offline.value());
+  }
+
+  SchedServiceOptions options;
+  MetricsRegistry metrics;
+  options.online.metrics = &metrics;
+  SchedService service(options);
+
+  // Stamps 10^7 ms apart dwarf any makespan here, so a request that
+  // arrives at its own stamp finds the machine idle. A request that takes
+  // the lock after a later stamp arrives at that later instant instead,
+  // beside a resident query: its reply is checked for shape only.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 12;
+  constexpr double kStampMs = 1e7;
+  std::atomic<int> next_stamp{1};
+  struct Reply {
+    int plan = 0;
+    double stamp = 0.0;
+    std::string text;
+  };
+  std::vector<std::vector<Reply>> replies(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        Reply r;
+        r.plan = (t + i) % 2;
+        r.stamp = next_stamp.fetch_add(1) * kStampMs;
+        r.text = service.Handle(StrFormat("@arrival %.0f\n", r.stamp) +
+                                plans[r.plan]);
+        replies[static_cast<size_t>(t)].push_back(std::move(r));
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  int idle = 0;
+  std::vector<uint64_t> ids;
+  for (const auto& per_thread : replies) {
+    for (const Reply& r : per_thread) {
+      ASSERT_TRUE(JsonChecker(r.text).Valid()) << r.text.substr(0, 200);
+      ASSERT_TRUE(HasStatus(r.text, "ok")) << r.text.substr(0, 200);
+      ids.push_back(std::strtoull(
+          r.text.c_str() + r.text.find("\"id\":") + 5, nullptr, 10));
+      const std::string own_arrival =
+          StrFormat("\"arrival_ms\":%.6f,", r.stamp);
+      if (r.text.find(own_arrival) == std::string::npos) continue;
+      ++idle;
+      EXPECT_EQ(ScheduleJsonOf(r.text), offline_json[r.plan]);
+    }
+  }
+  EXPECT_GE(idle, 1);  // the first request to take the lock always is
+  ASSERT_EQ(ids.size(), static_cast<size_t>(kThreads * kPerThread));
+
+  OnlineScheduler* scheduler = service.scheduler();
+  ASSERT_TRUE(scheduler->Drain().ok());
+  EXPECT_TRUE(scheduler->CheckInvariants().ok());
+  EXPECT_EQ(scheduler->in_flight(), 0);
+  for (uint64_t id : ids) {
+    EXPECT_EQ(scheduler->result(id), nullptr) << "query " << id << " kept";
+  }
+  EXPECT_EQ(metrics.Snapshot().CounterValue("online.admitted"),
+            static_cast<uint64_t>(kThreads * kPerThread));
 }
 
 TEST(SchedServerTest, ArrivalDirectiveSetsVirtualTime) {
