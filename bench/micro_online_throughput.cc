@@ -1,19 +1,8 @@
-// Online scheduling service throughput bench: drives the full server
-// stack — framing, in-process transport, plan-text parsing, admission,
-// residual-capacity placement — with a Poisson arrival stream in virtual
-// time, and reports wall-clock request throughput plus the virtual-time
-// queueing behaviour (admitted/sec, p50/p95 queue wait and makespan).
-//
-// Prints one JSON object on stdout (stable schema, consumed by
-// scripts/run_benches.sh into BENCH_online.json).
-//
-// Usage: micro_online_throughput [queries] [mean-interarrival-ms] [mpl]
-//
-// Connection-scaling mode (real TCP; one JSON line per run, collected by
-// scripts/run_benches.sh into BENCH_server.json): holds N idle
-// connections against the chosen front-end engine while timing requests
-// on one active connection — the "can one replica hold 100k sockets
-// without hurting p99" axis of ROADMAP item 3.
+// Online service connection-scaling bench (real TCP; one JSON line per
+// run, collected by scripts/run_benches.sh into BENCH_server.json): holds
+// N idle connections against the chosen front-end engine while timing
+// requests on one active connection — the "can one replica hold 100k
+// sockets without hurting p99" axis of ROADMAP item 3.
 //
 // Usage: micro_online_throughput --connections=N [--server=reactor|threaded]
 //                                [--requests=R]
@@ -24,7 +13,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,107 +35,6 @@
 
 namespace mrs {
 namespace {
-
-int Run(int queries, double mean_interarrival_ms, int mpl) {
-  WorkloadParams wp;
-  wp.num_joins = 4;
-  wp.min_tuples = 1'000;
-  wp.max_tuples = 50'000;
-  Rng rng(0x9e3779b97f4a7c15ull);
-
-  // Pre-render the request payloads so generation cost stays out of the
-  // measured loop.
-  std::vector<std::string> requests;
-  requests.reserve(static_cast<size_t>(queries));
-  double arrival = 0.0;
-  for (int q = 0; q < queries; ++q) {
-    auto gen = GenerateQuery(wp, &rng);
-    if (!gen.ok()) {
-      std::fprintf(stderr, "generation failed: %s\n",
-                   gen.status().ToString().c_str());
-      return 1;
-    }
-    auto text = WritePlanText(*gen->catalog, *gen->plan);
-    if (!text.ok()) {
-      std::fprintf(stderr, "plan render failed: %s\n",
-                   text.status().ToString().c_str());
-      return 1;
-    }
-    // Poisson arrivals: exponential inter-arrival times.
-    arrival += -std::log(1.0 - rng.UniformDouble()) * mean_interarrival_ms;
-    requests.push_back(StrFormat("@arrival %.6f\n", arrival) + text.value());
-  }
-
-  MetricsRegistry metrics;
-  SchedServiceOptions options;
-  options.online.metrics = &metrics;
-  options.online.admission.max_in_flight = mpl;
-  options.online.admission.default_timeout_ms = 20.0 * mean_interarrival_ms;
-  SchedService service(options);
-  SchedServer server(&service);
-
-  auto [client_end, server_end] = CreateInProcessPipe();
-  std::thread server_thread([&server, conn = server_end.get()] {
-    server.ServeConnection(conn);
-  });
-  SchedClient client(std::move(client_end));
-
-  int ok = 0, failed = 0;
-  const auto wall_start = std::chrono::steady_clock::now();
-  for (const std::string& request : requests) {
-    auto response = client.Call(request);
-    if (response.ok() &&
-        response.value().find("\"status\":\"ok\"") != std::string::npos) {
-      ++ok;
-    } else if (!response.ok()) {
-      ++failed;
-    }
-  }
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-
-  client.Close();
-  server_thread.join();
-  server.Shutdown();
-  Status drained = service.scheduler()->Drain();
-  if (!drained.ok() || failed != 0) {
-    std::fprintf(stderr, "bench failed: %d transport errors, drain %s\n",
-                 failed, drained.ToString().c_str());
-    return 1;
-  }
-  const double horizon_ms = service.scheduler()->now();
-
-  const MetricsSnapshot snap = metrics.Snapshot();
-  const uint64_t admitted = snap.CounterValue("online.admitted");
-  const uint64_t rejected = snap.CounterValue("online.rejected");
-  const uint64_t timeout = snap.CounterValue("online.timeout");
-  HistogramSnapshot queue_wait, makespan;
-  for (const HistogramSnapshot& h : snap.histograms) {
-    if (h.name == "online.queue_wait_ms") queue_wait = h;
-    if (h.name == "online.makespan_ms") makespan = h;
-  }
-
-  std::printf(
-      "{\"bench\":\"micro_online_throughput\",\"version\":1,"
-      "\"queries\":%d,\"mean_interarrival_ms\":%.3f,\"mpl\":%d,"
-      "\"wall_seconds\":%.6f,\"requests_per_sec\":%.1f,"
-      "\"admitted\":%llu,\"rejected\":%llu,\"timeout\":%llu,"
-      "\"virtual_horizon_ms\":%.3f,\"admitted_per_virtual_sec\":%.2f,"
-      "\"queue_wait_ms\":{\"p50\":%.3f,\"p95\":%.3f,\"max\":%.3f},"
-      "\"makespan_ms\":{\"p50\":%.3f,\"p95\":%.3f,\"max\":%.3f}}\n",
-      queries, mean_interarrival_ms, mpl, wall_seconds,
-      wall_seconds > 0 ? static_cast<double>(queries) / wall_seconds : 0.0,
-      static_cast<unsigned long long>(admitted),
-      static_cast<unsigned long long>(rejected),
-      static_cast<unsigned long long>(timeout), horizon_ms,
-      horizon_ms > 0 ? 1000.0 * static_cast<double>(admitted) / horizon_ms
-                     : 0.0,
-      queue_wait.p50, queue_wait.p95, queue_wait.max, makespan.p50,
-      makespan.p95, makespan.max);
-  return 0;
-}
 
 /// Resident set size of this process in bytes (VmRSS; both ends of every
 /// loopback connection live here, so the number covers server + harness).
@@ -450,7 +337,6 @@ int main(int argc, char** argv) {
   int connections = -1;
   bool reactor = true;
   int requests = 200;
-  bool flag_mode = false;
   int hold_port = -1, hold_count = -1;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--hold-connections=", 19) == 0) {
@@ -459,9 +345,7 @@ int main(int argc, char** argv) {
       hold_count = std::atoi(argv[i] + 13);
     } else if (std::strncmp(argv[i], "--connections=", 14) == 0) {
       connections = std::atoi(argv[i] + 14);
-      flag_mode = true;
     } else if (std::strncmp(argv[i], "--server=", 9) == 0) {
-      flag_mode = true;
       if (std::strcmp(argv[i] + 9, "reactor") == 0) {
         reactor = true;
       } else if (std::strcmp(argv[i] + 9, "threaded") == 0) {
@@ -472,30 +356,17 @@ int main(int argc, char** argv) {
       }
     } else if (std::strncmp(argv[i], "--requests=", 11) == 0) {
       requests = std::atoi(argv[i] + 11);
-      flag_mode = true;
     }
   }
   if (hold_port > 0 && hold_count > 0) {
     return mrs::RunHold(hold_port, hold_count);
   }
-  if (flag_mode) {
-    if (connections < 0 || requests <= 0) {
-      std::fprintf(stderr,
-                   "usage: %s --connections=N [--server=reactor|threaded] "
-                   "[--requests=R]\n",
-                   argv[0]);
-      return 2;
-    }
-    return mrs::RunConnections(reactor, connections, requests);
-  }
-  int queries = argc > 1 ? std::atoi(argv[1]) : 60;
-  double mean = argc > 2 ? std::atof(argv[2]) : 30.0;
-  int mpl = argc > 3 ? std::atoi(argv[3]) : 4;
-  if (queries <= 0 || mean <= 0 || mpl <= 0) {
+  if (connections < 0 || requests <= 0) {
     std::fprintf(stderr,
-                 "usage: %s [queries>0] [mean-interarrival-ms>0] [mpl>0]\n",
+                 "usage: %s --connections=N [--server=reactor|threaded] "
+                 "[--requests=R]\n",
                  argv[0]);
     return 2;
   }
-  return mrs::Run(queries, mean, mpl);
+  return mrs::RunConnections(reactor, connections, requests);
 }

@@ -16,7 +16,8 @@ counters — not the times — carry the model-quality result).
 perfbench files: each side is one record as perfbench/run.py keeps it
 ({"workload": ..., "result": {"metrics": {name: {"value", "unit"}}}}) or
 a list of such records (seeds of one build), reduced to the per-metric
-median. A single file holding {"baseline": {"records": [...]},
+median of each workload; a side may hold several workloads, and each is
+compared on its own. A single file holding {"baseline": {"records": [...]},
 "contender": {"records": [...]}} compares its two sides. Every shared
 metric of BENCHMARK.json is printed with its relative change, signed so
 that positive means worse in that metric's better direction; an
@@ -71,15 +72,15 @@ def perf_records(doc):
     return None
 
 
-def perf_medians(path, records):
-    workloads = {r.get("workload") for r in records}
-    if len(workloads) != 1:
-        sys.exit(f"error: {path!r} mixes workloads {sorted(map(str, workloads))}")
+def perf_medians(records):
+    """{workload: {metric: median over that workload's records}}."""
     values = {}
     for record in records:
+        per_workload = values.setdefault(str(record.get("workload")), {})
         for name, metric in record["result"]["metrics"].items():
-            values.setdefault(name, []).append(metric["value"])
-    return workloads.pop(), {n: statistics.median(v) for n, v in values.items()}
+            per_workload.setdefault(name, []).append(metric["value"])
+    return {w: {n: statistics.median(v) for n, v in m.items()}
+            for w, m in values.items()}
 
 
 def worsening(spec, base, cont):
@@ -91,18 +92,28 @@ def worsening(spec, base, cont):
     return change / abs(base)
 
 
-def compare_perf(base_path, base_records, cont_path, cont_records):
-    base_workload, base = perf_medians(base_path, base_records)
-    cont_workload, cont = perf_medians(cont_path, cont_records)
-    if base_workload != cont_workload:
-        sys.exit(f"error: workloads differ ({base_workload} vs {cont_workload})")
+def compare_perf(base_records, cont_records):
+    base_sides, cont_sides = perf_medians(base_records), perf_medians(cont_records)
+    if sorted(base_sides) != sorted(cont_sides):
+        sys.exit(f"error: workloads differ ({sorted(base_sides)} vs "
+                 f"{sorted(cont_sides)})")
     spec = read_json(os.path.join(ROOT, "BENCHMARK.json"))
+    status = 0
+    for workload in sorted(base_sides):
+        n_base, n_cont = (sum(str(r.get("workload")) == workload for r in side)
+                          for side in (base_records, cont_records))
+        print(f"workload {workload}: {n_base} baseline vs {n_cont} "
+              "contender record(s), medians")
+        status |= compare_workload(spec, base_sides[workload],
+                                   cont_sides[workload])
+    return status
+
+
+def compare_workload(spec, base, cont):
     specs = [s for s in spec["end_to_end"] + spec["per_layer"]
              if s["name"] in base and s["name"] in cont]
     if not specs:
         sys.exit("error: no common perfbench metrics to compare")
-    print(f"workload {base_workload}: {len(base_records)} baseline vs "
-          f"{len(cont_records)} contender record(s), medians")
     width = max(len(s["name"]) for s in specs)
     print(f"{'metric':<{width}}  {'unit':>6}  {'baseline':>12}  "
           f"{'contender':>12}  {'worse by':>9}  {'bound':>6}")
@@ -120,9 +131,9 @@ def compare_perf(base_path, base_records, cont_path, cont_records):
               f"{cont[name]:>12.4g}  {worse:>+9.1%}  {bound_text:>6}{verdict}")
     if flagged:
         print(f"\n{len(flagged)} metric(s) worse beyond their bound: "
-              f"{', '.join(flagged)}")
+              f"{', '.join(flagged)}\n")
         return 1
-    print("\nno end-to-end metric worse beyond its bound")
+    print("\nno end-to-end metric worse beyond its bound\n")
     return 0
 
 
@@ -193,12 +204,11 @@ def main():
         if not all(sides):
             sys.exit(f"error: {args.baseline!r} has no baseline and "
                      "contender records; pass two files")
-        return compare_perf(args.baseline, sides[0], args.baseline, sides[1])
+        return compare_perf(sides[0], sides[1])
     cont_doc = read_json(args.contender)
     base_records, cont_records = perf_records(base_doc), perf_records(cont_doc)
     if base_records is not None and cont_records is not None:
-        return compare_perf(args.baseline, base_records, args.contender,
-                            cont_records)
+        return compare_perf(base_records, cont_records)
 
     base = load_benchmarks(args.baseline, base_doc)
     cont = load_benchmarks(args.contender, cont_doc)

@@ -2,8 +2,6 @@
 # Builds and runs the benchmark suite, collecting machine-readable results
 # under bench_results/ (override with OUT_DIR):
 #
-#   BENCH_online.json  one JSON object per line from micro_online_throughput
-#                      (three load points: light, saturating, overloaded)
 #   BENCH_micro.json   google-benchmark JSON from micro_scheduler_runtime
 #   BENCH_workvector.json  google-benchmark JSON from micro_workvector
 #                      (split/place/simulate across d and P; diff against
@@ -50,15 +48,6 @@ cmake --build "${build_dir}" \
   micro_trace_overhead micro_placement_scale micro_workvector \
   micro_list_schedule micro_pipeline micro_exec_calibration micro_optimizer
 mkdir -p "${out_dir}"
-
-echo "=== online service throughput -> ${out_dir}/BENCH_online.json ==="
-: > "${out_dir}/BENCH_online.json"
-# Three operating points: arrivals slower than service, near saturation,
-# and overloaded (queueing + timeouts kick in).
-"${build_dir}/bench/micro_online_throughput" 60 60 4 >> "${out_dir}/BENCH_online.json"
-"${build_dir}/bench/micro_online_throughput" 60 30 4 >> "${out_dir}/BENCH_online.json"
-"${build_dir}/bench/micro_online_throughput" 60 10 2 >> "${out_dir}/BENCH_online.json"
-cat "${out_dir}/BENCH_online.json"
 
 echo "=== scheduler microbenchmarks -> ${out_dir}/BENCH_micro.json ==="
 "${build_dir}/bench/micro_scheduler_runtime" \

@@ -39,6 +39,13 @@
 # SchedServerTest.ConcurrentHandleEncodesUnlockedAndRetainsNoResults runs
 # four threads through Handle at once to hold that under TSan.
 #
+# The plan-depth limit (kMaxPlanDepth) matters most under ASan, whose
+# larger frames exhaust a stack sooner. Two tests hold it there:
+#   PlanTextTest.PlanAtTheDepthLimitParsesAndSchedules
+#     runs every recursive pass over the deepest plan the parser accepts;
+#   SchedServerTest.DeeplyNestedPlanGetsAnErrorReplyAndServingContinues
+#     sends a 30k-deep frame through the TCP front-end.
+#
 # Usage: scripts/run_sanitized_tests.sh [ctest args...]
 
 set -euo pipefail

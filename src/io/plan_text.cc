@@ -58,7 +58,7 @@ class SexprParser {
       : tokens_(tokens), line_no_(line_no), catalog_(catalog), plan_(plan) {}
 
   Result<int> Parse() {
-    auto node = ParseNode();
+    auto node = ParseNode(0);
     if (!node.ok()) return node;
     if (pos_ != tokens_.size()) {
       return Status::InvalidArgument(
@@ -69,7 +69,9 @@ class SexprParser {
   }
 
  private:
-  Result<int> ParseNode() {
+  /// `depth` counts the enclosing operators; bounding it bounds every
+  /// later recursive pass over the plan, so no input exhausts the stack.
+  Result<int> ParseNode(int depth) {
     if (pos_ >= tokens_.size()) {
       return Status::InvalidArgument(
           StrFormat("line %d: unexpected end of plan expression", line_no_));
@@ -102,6 +104,11 @@ class SexprParser {
           StrFormat("line %d: expected '(' or relation name, got '%s'",
                     line_no_, token.text.c_str()));
     }
+    if (depth >= kMaxPlanDepth) {
+      return Status::InvalidArgument(
+          StrFormat("line %d: plan nests deeper than %d operators", line_no_,
+                    kMaxPlanDepth));
+    }
     ++pos_;  // consume '('
     if (pos_ >= tokens_.size() || tokens_[pos_].kind != Token::kAtom) {
       return Status::InvalidArgument(StrFormat(
@@ -111,13 +118,13 @@ class SexprParser {
     ++pos_;
     Result<int> node = Status::Internal("unset");
     if (op == "join") {
-      auto outer = ParseNode();
+      auto outer = ParseNode(depth + 1);
       if (!outer.ok()) return outer;
-      auto inner = ParseNode();
+      auto inner = ParseNode(depth + 1);
       if (!inner.ok()) return inner;
       node = plan_->AddJoin(outer.value(), inner.value());
     } else if (op == "sort") {
-      auto child = ParseNode();
+      auto child = ParseNode(depth + 1);
       if (!child.ok()) return child;
       node = plan_->AddSort(child.value());
     } else if (op == "agg") {
@@ -135,7 +142,7 @@ class SexprParser {
                       tokens_[pos_].text.c_str()));
       }
       ++pos_;
-      auto child = ParseNode();
+      auto child = ParseNode(depth + 1);
       if (!child.ok()) return child;
       node = plan_->AddAggregate(child.value(), fraction);
     } else {

@@ -22,6 +22,11 @@ struct ParsedPlan {
   std::unique_ptr<QueryGraph> graph;
 };
 
+/// Deepest operator nesting a plan line may have: far above real plans
+/// (a left-deep join of N relations nests N-1 deep), and shallow enough
+/// that the recursive passes over a plan stay within a thread's stack.
+inline constexpr int kMaxPlanDepth = 1000;
+
 /// Parses the plan text format:
 ///
 ///   # relations first: name and tuple count
@@ -40,8 +45,9 @@ struct ParsedPlan {
 ///
 /// Blank lines and '#' comments are ignored. Every relation must be
 /// declared before the plan/graph line; each relation may be scanned at
-/// most once; a file may not carry both a plan and a graph. Errors carry
-/// the offending line number.
+/// most once; a file may not carry both a plan and a graph; a plan nests
+/// at most kMaxPlanDepth operators deep. Errors carry the offending line
+/// number.
 Result<ParsedPlan> ParsePlanText(const std::string& text);
 
 /// Renders a catalog and finalized plan back into the text format

@@ -7,7 +7,6 @@
 #include "common/str_util.h"
 #include "core/list_schedule.h"
 #include "cost/cost_model.h"
-#include "exec/fluid_simulator.h"
 #include "plan/operator_tree.h"
 #include "plan/task_tree.h"
 
@@ -52,6 +51,51 @@ ListScheduleOptions ListOptionsFrom(const OnlineSchedulerOptions& options,
 
 }  // namespace
 
+Result<PhaseProjection> ProjectContendedPhase(
+    const std::vector<ClonePlacement>& placements,
+    const std::vector<std::vector<ResidentClone>>& resident, double now_ms) {
+  // Eq. (2) terms of each touched site: the summed remaining work, the
+  // longest remaining stand-alone time, and the summed stand-alone times.
+  struct SiteTerms {
+    WorkVector load;  // empty until a new clone touches the site
+    double own = 0.0;
+    double serial = 0.0;
+  };
+  std::vector<SiteTerms> sites(resident.size());
+  PhaseProjection out;
+  for (const ClonePlacement& p : placements) {
+    if (!SequentialTimeWithinBounds(p.work, p.t_seq, 1e-6)) {
+      return Status::InvalidArgument(StrFormat(
+          "clone of op%d violates max <= T_seq <= sum", p.op_id));
+    }
+    SiteTerms& site = sites[static_cast<size_t>(p.site)];
+    if (site.load.empty()) {
+      // Residents first, summed from zero in resident order, then the new
+      // clones in placement order: the union schedule's order.
+      site.load = WorkVector(p.work.dim());
+      for (const ResidentClone& c : resident[static_cast<size_t>(p.site)]) {
+        const double frac = RemainingFraction(c.start, c.finish, now_ms);
+        site.load.AddScaled(c.work, frac);
+        site.own = std::max(site.own, c.t_seq * frac);
+        site.serial += c.t_seq * frac;
+        ++out.residents;
+      }
+    }
+    site.load += p.work;
+    site.own = std::max(site.own, p.t_seq);
+    site.serial += p.t_seq;
+  }
+  out.clone_finish.reserve(placements.size());
+  for (const ClonePlacement& p : placements) {
+    const SiteTerms& site = sites[static_cast<size_t>(p.site)];
+    const double fin = std::max(site.own, site.load.Length());
+    out.clone_finish.push_back(fin);
+    out.barrier_ms = std::max(out.barrier_ms, fin);
+    out.serial_bound_ms = std::max(out.serial_bound_ms, site.serial);
+  }
+  return out;
+}
+
 std::string_view OnlineQueryStateToString(OnlineQueryState state) {
   switch (state) {
     case OnlineQueryState::kQueued:
@@ -94,6 +138,14 @@ struct OnlineScheduler::QueryRec {
   bool fully_placed = false;
   /// TakeResult handed the result out: erase the record once terminal.
   bool taken = false;
+
+  void ReleasePipeline() {
+    planner.reset();
+    task_tree.reset();
+    ops.reset();
+    costs.clear();
+    costs.shrink_to_fit();
+  }
 };
 
 OnlineScheduler::OnlineScheduler(const CostParams& params,
@@ -278,23 +330,8 @@ void OnlineScheduler::AdmitQuery(QueryRec* rec) {
 }
 
 void OnlineScheduler::PlaceNextPhase(QueryRec* rec) {
-  RetireThrough(now_);
-  bool any_resident = false;
-  for (const auto& site : resident_) {
-    if (!site.empty()) {
-      any_resident = true;
-      break;
-    }
-  }
-  // A null base on an idle machine keeps OPERATORSCHEDULE on the exact
-  // offline code path (bit-identical placements and makespans).
   std::vector<WorkVector> base;
-  const std::vector<WorkVector>* base_ptr = nullptr;
-  if (any_resident) {
-    base = ResidualLoadAt(now_);
-    base_ptr = &base;
-  }
-
+  const std::vector<WorkVector>* base_ptr = ResidualBaseNow(&base);
   const int k = rec->planner->next_phase();
   auto phase = rec->planner->NextPhase(base_ptr);
   if (!phase.ok()) {
@@ -303,77 +340,29 @@ void OnlineScheduler::PlaceNextPhase(QueryRec* rec) {
   }
 
   SpanTimer place_span(rec->result.trace.get(), "online_place", k);
-
-  // Union schedule over the touched sites: each resident reservation
-  // (with its *remaining* work) and each new clone becomes a synthetic
-  // degree-1 operator, residents first, new clones in placement order.
-  // The eq. (2)-exact fluid model over this union predicts when the new
-  // clones complete under contention.
-  const int num_sites = machine_.num_sites;
-  std::vector<char> touched(static_cast<size_t>(num_sites), 0);
-  for (const ClonePlacement& p : phase->schedule.placements()) {
-    touched[static_cast<size_t>(p.site)] = 1;
-  }
-  Schedule union_sched(num_sites, machine_.dims);
-  std::vector<double> serial(static_cast<size_t>(num_sites), 0.0);
-  int next_synth_id = 0;
-  const auto add_clone = [&](const WorkVector& work, double t_seq, int site) {
-    ParallelizedOp synth;
-    synth.op_id = next_synth_id++;
-    synth.degree = 1;
-    synth.clones = {work};
-    synth.t_seq = {t_seq};
-    synth.t_par = t_seq;
-    const Status placed = union_sched.Place(synth, 0, site);
-    MRS_CHECK(placed.ok()) << placed.ToString();
-    serial[static_cast<size_t>(site)] += t_seq;
-  };
-  int resident_count = 0;
-  for (int s = 0; s < num_sites; ++s) {
-    if (!touched[static_cast<size_t>(s)]) continue;
-    for (const ResidentClone& c : resident_[static_cast<size_t>(s)]) {
-      const double frac = RemainingFraction(c.start, c.finish, now_);
-      add_clone(c.work * frac, c.t_seq * frac, s);
-      ++resident_count;
-    }
-  }
-  for (const ClonePlacement& p : phase->schedule.placements()) {
-    add_clone(p.work, p.t_seq, p.site);
-  }
-
-  const FluidSimulator simulator(usage_, SharingPolicy::kOptimalStretch);
-  auto sim = simulator.SimulatePhase(union_sched);
-  if (!sim.ok()) {
+  const auto& placements = phase->schedule.placements();
+  auto projection = ProjectContendedPhase(placements, resident_, now_);
+  if (!projection.ok()) {
     place_span.End();
-    AbortQuery(rec, sim.status());
+    AbortQuery(rec, projection.status());
     return;
   }
 
-  // Reserve the new clones at their predicted completion instants and
+  // Reserve the new clones at their projected completion instants and
   // close the phase at the barrier (the last new clone's finish).
-  double barrier = 0.0;
-  const auto& placements = phase->schedule.placements();
   for (size_t i = 0; i < placements.size(); ++i) {
-    const double fin =
-        sim->clone_finish[static_cast<size_t>(resident_count) + i];
-    barrier = std::max(barrier, fin);
     resident_[static_cast<size_t>(placements[i].site)].push_back(
         ResidentClone{rec->result.id, placements[i].work, placements[i].t_seq,
-                      now_, now_ + fin});
+                      now_, now_ + projection->clone_finish[i]});
   }
-  double serial_bound = 0.0;
-  for (int s = 0; s < num_sites; ++s) {
-    if (touched[static_cast<size_t>(s)]) {
-      serial_bound = std::max(serial_bound, serial[static_cast<size_t>(s)]);
-    }
-  }
+  const double barrier = projection->barrier_ms;
 
   OnlinePhaseTiming timing;
   timing.phase = k;
   timing.start_ms = now_;
   timing.finish_ms = now_ + barrier;
   timing.uncontended_ms = phase->makespan;
-  timing.serial_bound_ms = serial_bound;
+  timing.serial_bound_ms = projection->serial_bound_ms;
   rec->result.timings.push_back(timing);
 
   PhaseSchedule placed = std::move(phase).value();
@@ -382,11 +371,11 @@ void OnlineScheduler::PlaceNextPhase(QueryRec* rec) {
   rec->result.schedule.phases.push_back(std::move(placed));
 
   if (place_span.active()) {
-    place_span.AttrInt("residents", resident_count);
+    place_span.AttrInt("residents", projection->residents);
     place_span.AttrDouble("start_ms", timing.start_ms);
     place_span.AttrDouble("duration_ms", barrier);
     place_span.AttrDouble("uncontended_ms", timing.uncontended_ms);
-    place_span.AttrDouble("serial_bound_ms", serial_bound);
+    place_span.AttrDouble("serial_bound_ms", timing.serial_bound_ms);
   }
   place_span.End();
 
@@ -395,22 +384,8 @@ void OnlineScheduler::PlaceNextPhase(QueryRec* rec) {
 }
 
 void OnlineScheduler::PlaceListSchedule(QueryRec* rec) {
-  RetireThrough(now_);
-  bool any_resident = false;
-  for (const auto& site : resident_) {
-    if (!site.empty()) {
-      any_resident = true;
-      break;
-    }
-  }
-  // A null base on an idle machine keeps every placement round on the
-  // exact offline ListSchedule code path.
   std::vector<WorkVector> base;
-  const std::vector<WorkVector>* base_ptr = nullptr;
-  if (any_resident) {
-    base = ResidualLoadAt(now_);
-    base_ptr = &base;
-  }
+  const std::vector<WorkVector>* base_ptr = ResidualBaseNow(&base);
 
   ParallelizeCache* cache = options_.use_cost_cache ? &cache_ : nullptr;
   auto list = ListSchedule(
@@ -474,11 +449,7 @@ void OnlineScheduler::CompleteQuery(QueryRec* rec, double at_ms) {
   rec->result.finish_ms = at_ms;
   makespan_hist_->Record(at_ms - rec->result.admit_ms);
   admission_.OnFinished(RequestOf(*rec));
-  rec->planner.reset();
-  rec->task_tree.reset();
-  rec->ops.reset();
-  rec->costs.clear();
-  rec->costs.shrink_to_fit();
+  rec->ReleasePipeline();
   UpdateGauges();
   const bool taken = rec->taken;
   const uint64_t id = rec->result.id;
@@ -491,21 +462,14 @@ void OnlineScheduler::CompleteQuery(QueryRec* rec, double at_ms) {
 void OnlineScheduler::AbortQuery(QueryRec* rec, Status status) {
   const uint64_t id = rec->result.id;
   for (auto& site : resident_) {
-    site.erase(std::remove_if(
-                   site.begin(), site.end(),
-                   [id](const ResidentClone& c) { return c.query == id; }),
-               site.end());
+    std::erase_if(site, [id](const ResidentClone& c) { return c.query == id; });
   }
   admission_.OnFinished(RequestOf(*rec));
   rec->result.state = OnlineQueryState::kRejected;
   rec->result.status = std::move(status);
   rec->result.finish_ms = now_;
   rejected_->Increment();
-  rec->planner.reset();
-  rec->task_tree.reset();
-  rec->ops.reset();
-  rec->costs.clear();
-  rec->costs.shrink_to_fit();
+  rec->ReleasePipeline();
   UpdateGauges();
   TryAdmitFromQueue();
 }
@@ -520,11 +484,7 @@ void OnlineScheduler::FinalizeRejected(QueryRec* rec, Status status,
   } else {
     rejected_->Increment();
   }
-  rec->planner.reset();
-  rec->task_tree.reset();
-  rec->ops.reset();
-  rec->costs.clear();
-  rec->costs.shrink_to_fit();
+  rec->ReleasePipeline();
   UpdateGauges();
 }
 
@@ -541,7 +501,11 @@ void OnlineScheduler::TryAdmitFromQueue() {
     MRS_CHECK(it != queries_.end()) << "queued id unknown to the scheduler";
     AdmitQuery(it->second.get());
   }
-  // Whoever is still queued with an exhausted budget times out.
+  ExpireWaiters();
+  UpdateGauges();
+}
+
+void OnlineScheduler::ExpireWaiters() {
   for (const AdmissionRequest& expired : admission_.ExpireDeadlines(now_)) {
     auto it = queries_.find(expired.id);
     if (it == queries_.end()) continue;
@@ -552,7 +516,6 @@ void OnlineScheduler::TryAdmitFromQueue() {
             expired.deadline_ms - expired.arrival_ms)),
         OnlineQueryState::kTimedOut);
   }
-  UpdateGauges();
 }
 
 Status OnlineScheduler::AdvanceTo(double t_ms) {
@@ -628,10 +591,6 @@ Result<OnlineQueryResult> OnlineScheduler::TakeResult(uint64_t id) {
   return out;
 }
 
-std::vector<WorkVector> OnlineScheduler::ResidualLoad() const {
-  return ResidualLoadAt(now_);
-}
-
 Status OnlineScheduler::CheckInvariants() const {
   for (int s = 0; s < machine_.num_sites; ++s) {
     for (const ResidentClone& c : resident_[static_cast<size_t>(s)]) {
@@ -645,7 +604,7 @@ Status OnlineScheduler::CheckInvariants() const {
       }
     }
   }
-  for (const WorkVector& w : ResidualLoadAt(now_)) {
+  for (const WorkVector& w : ResidualLoad()) {
     if (!w.IsNonNegative()) {
       return Status::Internal("negative residual load component");
     }
@@ -690,7 +649,6 @@ void OnlineScheduler::Dispatch(const Event& event) {
   switch (event.kind) {
     case Event::kPhaseDone:
       if (rec->result.state != OnlineQueryState::kRunning) return;  // stale
-      RetireThrough(now_);
       if (rec->planner != nullptr && !rec->planner->done()) {
         PlaceNextPhase(rec);
       } else {
@@ -699,16 +657,7 @@ void OnlineScheduler::Dispatch(const Event& event) {
       break;
     case Event::kDeadline:
       if (rec->result.state != OnlineQueryState::kQueued) return;  // stale
-      for (const AdmissionRequest& req : admission_.ExpireDeadlines(now_)) {
-        auto qit = queries_.find(req.id);
-        if (qit == queries_.end()) continue;
-        FinalizeRejected(
-            qit->second.get(),
-            Status::DeadlineExceeded(StrFormat(
-                "queue wait exceeded the %.3f ms budget",
-                req.deadline_ms - req.arrival_ms)),
-            OnlineQueryState::kTimedOut);
-      }
+      ExpireWaiters();
       break;
   }
 }
@@ -723,25 +672,35 @@ void OnlineScheduler::PushEvent(double time, Event::Kind kind,
   events_.push(event);
 }
 
+const std::vector<WorkVector>* OnlineScheduler::ResidualBaseNow(
+    std::vector<WorkVector>* load) {
+  RetireThrough(now_);
+  for (const auto& site : resident_) {
+    if (!site.empty()) {
+      *load = ResidualLoad();
+      return load;
+    }
+  }
+  return nullptr;
+}
+
 void OnlineScheduler::RetireThrough(double t_ms) {
   for (auto& site : resident_) {
-    site.erase(std::remove_if(site.begin(), site.end(),
-                              [t_ms](const ResidentClone& c) {
-                                return c.finish <= t_ms + kTimeTol;
-                              }),
-               site.end());
+    std::erase_if(site, [t_ms](const ResidentClone& c) {
+      return c.finish <= t_ms + kTimeTol;
+    });
   }
 }
 
-std::vector<WorkVector> OnlineScheduler::ResidualLoadAt(double t_ms) const {
+std::vector<WorkVector> OnlineScheduler::ResidualLoad() const {
   std::vector<WorkVector> load(
       static_cast<size_t>(machine_.num_sites),
       WorkVector(static_cast<size_t>(machine_.dims)));
   for (int s = 0; s < machine_.num_sites; ++s) {
     for (const ResidentClone& c : resident_[static_cast<size_t>(s)]) {
-      if (c.finish <= t_ms + kTimeTol) continue;
+      if (c.finish <= now_ + kTimeTol) continue;
       load[static_cast<size_t>(s)].AddScaled(
-          c.work, RemainingFraction(c.start, c.finish, t_ms));
+          c.work, RemainingFraction(c.start, c.finish, now_));
     }
   }
   return load;

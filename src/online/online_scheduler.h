@@ -10,6 +10,7 @@
 
 #include "common/metrics.h"
 #include "common/result.h"
+#include "core/schedule.h"
 #include "core/tree_schedule.h"
 #include "cost/parallelize_cache.h"
 #include "exec/trace.h"
@@ -23,8 +24,8 @@ namespace mrs {
 /// Per-query scheduling engine of the online scheduler.
 enum class OnlineEngine {
   /// Phased TREESCHEDULE: phases are placed one at a time against the
-  /// residual load, and contended completions are predicted by the fluid
-  /// union model (the default, byte-identical to the historical behavior).
+  /// residual load; contended completions follow ProjectContendedPhase
+  /// (the default).
   kTree,
   /// Barrier-free LISTSCHEDULE: the whole query is scheduled one-shot at
   /// admission with the residual-load snapshot threaded through
@@ -38,8 +39,8 @@ enum class OnlineEngine {
 };
 
 struct OnlineSchedulerOptions {
-  /// Overlap epsilon of the usage model (EA2) used for costing, placement,
-  /// and the fluid completion model.
+  /// Overlap epsilon of the usage model (EA2) used for costing and
+  /// placement. (Contended completions take each clone's T_seq as given.)
   double overlap_eps = 0.5;
   int num_disks = 1;
   /// Per-query TREESCHEDULE knobs. `cache` and `trace` are managed by the
@@ -137,6 +138,35 @@ struct OnlineQueryResult {
   double ProjectedFinishMs() const;
 };
 
+/// One in-flight clone's reservation at a site: its full work vector and
+/// stand-alone time, and its [start, finish) window on the virtual clock.
+struct ResidentClone {
+  uint64_t query = 0;
+  WorkVector work;
+  double t_seq = 0.0;
+  double start = 0.0;
+  double finish = 0.0;
+};
+
+/// Contended timing of one phase whose clones all start at one instant.
+struct PhaseProjection {
+  std::vector<double> clone_finish;  ///< per placement, after the start
+  double barrier_ms = 0.0;           ///< the largest clone_finish
+  double serial_bound_ms = 0.0;      ///< see OnlinePhaseTiming
+  int residents = 0;                 ///< resident clones on touched sites
+};
+
+/// Eq. (2) on each site `placements` touch, over all that shares it from
+/// `now_ms` on as if started together: each resident's remaining part
+/// (frac of its work and t_seq, A3) and the new clones. `resident` holds
+/// no clone finished by now_ms + 1e-9. Sums run in the order of the
+/// union-Schedule fluid simulation this replaced, so results are
+/// bit-identical to it (tests/oracles/online_projection_oracle.h).
+/// InvalidArgument when a new clone breaks max <= T_seq <= sum.
+Result<PhaseProjection> ProjectContendedPhase(
+    const std::vector<ClonePlacement>& placements,
+    const std::vector<std::vector<ResidentClone>>& resident, double now_ms);
+
 /// On-line multi-query scheduler: the multi-query follow-up the paper's
 /// §9 sketches, built on the batch primitives. Queries arrive over a
 /// *virtual* clock (milliseconds, same unit as the cost model); admission
@@ -145,9 +175,9 @@ struct OnlineQueryResult {
 /// load — the remaining work vectors of the clones of co-resident queries
 /// — so OPERATORSCHEDULE's least-loaded rule (eq. (2)/(3) over the union
 /// of resident and new clones) becomes an incremental, residual-capacity
-/// variant. Phase completions are predicted by the eq. (2)-exact fluid
-/// model (FluidSimulator, kOptimalStretch) over the union schedule of each
-/// touched site and drive the event loop.
+/// variant. Phase completions follow eq. (2) on each touched site over the
+/// residents' remaining work plus the new clones (ProjectContendedPhase)
+/// and drive the event loop.
 ///
 /// The model is non-preemptive in reservations: a placed clone's finish
 /// time is fixed when its phase is placed; later arrivals see its
@@ -238,15 +268,6 @@ class OnlineScheduler {
       return a.seq > b.seq;
     }
   };
-  /// One in-flight clone's reservation at a site.
-  struct ResidentClone {
-    uint64_t query = 0;
-    WorkVector work;   // full work vector
-    double t_seq = 0.0;
-    double start = 0.0;
-    double finish = 0.0;
-  };
-
   void ProcessUntil(double t_ms);
   void Dispatch(const Event& event);
   void PushEvent(double time, Event::Kind kind, uint64_t query);
@@ -257,8 +278,12 @@ class OnlineScheduler {
   void AbortQuery(QueryRec* rec, Status status);
   void FinalizeRejected(QueryRec* rec, Status status, OnlineQueryState state);
   void TryAdmitFromQueue();
+  void ExpireWaiters();  // times out queued queries past their budget
   void RetireThrough(double t_ms);
-  std::vector<WorkVector> ResidualLoadAt(double t_ms) const;
+  /// Retires finished reservations; returns `load` = ResidualLoad(), or
+  /// nullptr on an idle machine, which keeps the placement engines on
+  /// their exact offline code path (bit-identical placements).
+  const std::vector<WorkVector>* ResidualBaseNow(std::vector<WorkVector>* load);
   AdmissionRequest RequestOf(const QueryRec& rec) const;
   void UpdateGauges();
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/tree_schedule.h"
+#include "cost/cost_model.h"
+#include "plan/operator_tree.h"
+#include "plan/task_tree.h"
+#include "resource/usage_model.h"
 #include "workload/generator.h"
 
 namespace mrs {
@@ -235,6 +240,40 @@ TEST(PlanTextTest, DeepNesting) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->plan->num_joins(), 11);
   EXPECT_EQ(parsed->plan->Height(), 11);
+}
+
+/// A plan line of `depth` nested sorts around one relation.
+std::string NestedSortPlan(int depth) {
+  std::string text = "relation r 1000\nplan ";
+  for (int i = 0; i < depth; ++i) text += "(sort ";
+  text += "r";
+  text.append(static_cast<size_t>(depth), ')');
+  return text + "\n";
+}
+
+TEST(PlanTextTest, PlanAtTheDepthLimitParsesAndSchedules) {
+  auto parsed = ParsePlanText(NestedSortPlan(kMaxPlanDepth));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->plan->Height(), kMaxPlanDepth);
+
+  auto ops = OperatorTree::FromPlan(*parsed->plan);
+  ASSERT_TRUE(ops.ok()) << ops.status().ToString();
+  auto tasks = TaskTree::FromOperatorTree(&ops.value());
+  ASSERT_TRUE(tasks.ok()) << tasks.status().ToString();
+  auto costs = CostModel(CostParams{}, 3).CostAll(*ops);
+  ASSERT_TRUE(costs.ok()) << costs.status().ToString();
+  auto schedule = TreeSchedule(*ops, *tasks, *costs, CostParams{},
+                               MachineConfig{}, OverlapUsageModel(0.5), {});
+  ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
+  EXPECT_GT(schedule->response_time, 0.0);
+}
+
+TEST(PlanTextTest, RejectsAPlanOneLevelPastTheDepthLimit) {
+  auto parsed = ParsePlanText(NestedSortPlan(kMaxPlanDepth + 1));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("deeper than"), std::string::npos)
+      << parsed.status().ToString();
 }
 
 /// Property: any generated plan (random shape, sizes, optional unary

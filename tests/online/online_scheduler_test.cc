@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
 #include <set>
 
+#include "common/rng.h"
 #include "core/list_schedule.h"
 #include "core/tree_schedule.h"
 #include "io/schedule_export.h"
 #include "test_util.h"
+#include "workload/generator.h"
 
 namespace mrs {
 namespace {
@@ -651,6 +655,92 @@ TEST(OnlineSchedulerTest, ListEngineContendedRunDrainsCleanly) {
       EXPECT_EQ(w[d], 0.0) << "residual load left behind";
     }
   }
+}
+
+/// FNV-1a over `text`, folded into `*h`.
+void Fnv1a(const std::string& text, uint64_t* h) {
+  for (unsigned char c : text) {
+    *h ^= c;
+    *h *= 1099511628211ull;
+  }
+}
+
+/// Digest of a contended replay: a fixed Poisson stream (seed 7, 120
+/// queries of 4-10 joins, 1500 ms mean inter-arrival) through one
+/// scheduler on P=64 sites at MPL 16, hashing every query's admit and
+/// finish instants, phase timings (all "%a", so bit-exact) and clone
+/// sites.
+uint64_t ContendedStreamDigest(OnlineEngine engine) {
+  constexpr int kQueries = 120;
+  MachineConfig machine;
+  machine.num_sites = 64;
+  MetricsRegistry metrics;
+  OnlineSchedulerOptions options;
+  options.metrics = &metrics;
+  options.engine = engine;
+  options.admission.max_in_flight = 16;
+  options.admission.max_queue_depth = 1 << 20;
+  OnlineScheduler sched(CostParams{}, machine, options);
+
+  Rng rng(7);
+  WorkloadParams params;
+  std::vector<uint64_t> ids;
+  double t = 0.0;
+  for (int i = 0; i < kQueries; ++i) {
+    params.num_joins = 4 + i % 7;
+    auto q = GenerateQuery(params, &rng);
+    EXPECT_TRUE(q.ok()) << q.status().ToString();
+    t += -std::log(1.0 - rng.UniformDouble()) * 1500.0;
+    ids.push_back(sched.Submit(*q->plan, t));  // reads the plan only here
+  }
+  EXPECT_TRUE(sched.Drain().ok());
+  EXPECT_TRUE(sched.CheckInvariants().ok());
+
+  uint64_t h = 14695981039346656037ull;
+  char buf[256];
+  int overlapped = 0, stretched = 0;
+  double prev_finish = 0.0;
+  for (const uint64_t id : ids) {
+    const OnlineQueryResult* r = sched.result(id);
+    EXPECT_EQ(r->state, OnlineQueryState::kDone);
+    if (r->admit_ms < prev_finish) ++overlapped;
+    prev_finish = r->finish_ms;
+    std::snprintf(buf, sizeof(buf), "q%llu %a %a\n",
+                  static_cast<unsigned long long>(id), r->admit_ms,
+                  r->finish_ms);
+    Fnv1a(buf, &h);
+    for (const OnlinePhaseTiming& tm : r->timings) {
+      std::snprintf(buf, sizeof(buf), "t%d %a %a %a %a\n", tm.phase,
+                    tm.start_ms, tm.finish_ms, tm.uncontended_ms,
+                    tm.serial_bound_ms);
+      Fnv1a(buf, &h);
+      if (tm.DurationMs() > tm.uncontended_ms + 1e-6) ++stretched;
+    }
+    for (const PhaseSchedule& ph : r->schedule.phases) {
+      for (const ClonePlacement& p : ph.schedule.placements()) {
+        std::snprintf(buf, sizeof(buf), "p%d.%d@%d ", p.op_id, p.clone_idx,
+                      p.site);
+        Fnv1a(buf, &h);
+      }
+    }
+  }
+  // The stream must exercise what the digest pins: overlapping queries
+  // and, for the phased engine, phases stretched by co-resident clones.
+  EXPECT_GT(overlapped, kQueries / 2);
+  if (engine == OnlineEngine::kTree) {
+    EXPECT_GT(stretched, 0);
+  }
+  return h;
+}
+
+TEST(OnlineSchedulerTest, ContendedStreamMatchesParent) {
+  // Pinned to the union-schedule + fluid-simulation projection the closed
+  // form replaced: every admit, finish, timing and clone site of a
+  // contended stream is bit-identical to it, for both engines.
+  EXPECT_EQ(ContendedStreamDigest(OnlineEngine::kTree),
+            11920391197381607243ull);
+  EXPECT_EQ(ContendedStreamDigest(OnlineEngine::kList),
+            15195757234370626615ull);
 }
 
 TEST(OnlineQueryStateTest, Names) {

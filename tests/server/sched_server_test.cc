@@ -291,6 +291,41 @@ TEST(SchedServerTest, ConcurrentHandleEncodesUnlockedAndRetainsNoResults) {
             static_cast<uint64_t>(kThreads * kPerThread));
 }
 
+TEST(SchedServerTest, DeeplyNestedPlanGetsAnErrorReplyAndServingContinues) {
+  // About 210 KB of nested sorts, one frame well under the frame cap: it
+  // used to exhaust the stack in the recursive plan passes.
+  std::string deep = "relation r 1000\nplan ";
+  for (int i = 0; i < 30000; ++i) deep += "(sort ";
+  deep += "r";
+  deep.append(30000, ')');
+  const std::string plan = PlanTextOf(SingleJoinFixture(4000, 2000));
+
+  SchedServiceOptions options;
+  MetricsRegistry metrics;
+  options.online.metrics = &metrics;
+  SchedService service(options);
+  SchedServer server(&service);
+  Status started = server.Start("127.0.0.1", 0);
+  ASSERT_TRUE(started.ok()) << started.ToString();
+  auto client = SchedClient::ConnectTcp("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  auto response = client.value().Call(deep);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_TRUE(HasStatus(response.value(), "error")) << response.value();
+  EXPECT_NE(response.value().find("\"code\":\"InvalidArgument\""),
+            std::string::npos)
+      << response.value();
+  EXPECT_TRUE(JsonChecker(response.value()).Valid()) << response.value();
+
+  response = client.value().Call(plan);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_TRUE(HasStatus(response.value(), "ok")) << response.value();
+  EXPECT_TRUE(JsonChecker(response.value()).Valid());
+  client.value().Close();
+  server.Shutdown();
+}
+
 TEST(SchedServerTest, ArrivalDirectiveSetsVirtualTime) {
   PlanFixture fx = SingleJoinFixture(4000, 2000);
   SchedServiceOptions options;
