@@ -145,7 +145,7 @@ void BM_SimulateTree(benchmark::State& state) {
   }
   for (auto _ : state) {
     for (const ExecBenchPlan& plan : plans) {
-      SimulateBackend backend(usage);
+      SimulateBackend backend;
       auto runs = backend.RunTree(plan.tree, plan.specs);
       if (!runs.ok()) {
         state.SkipWithError("simulation failed");

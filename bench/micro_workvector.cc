@@ -67,7 +67,7 @@ void BM_SplitPlaceSimulate(benchmark::State& state) {
   const int d = static_cast<int>(state.range(0));
   const int num_sites = static_cast<int>(state.range(1));
   const OverlapUsageModel usage(0.5);
-  const FluidSimulator simulator(usage, SharingPolicy::kOptimalStretch);
+  const FluidSimulator simulator(SharingPolicy::kOptimalStretch);
   for (auto _ : state) {
     std::vector<ParallelizedOp> ops = MakeBatch(d, num_sites, usage);
     auto schedule = OperatorSchedule(ops, num_sites, d);
@@ -129,7 +129,7 @@ void BM_SimulateOnly(benchmark::State& state) {
     state.SkipWithError("scheduling failed");
     return;
   }
-  const FluidSimulator simulator(usage, SharingPolicy::kUniformSlowdown);
+  const FluidSimulator simulator(SharingPolicy::kUniformSlowdown);
   for (auto _ : state) {
     auto sim = simulator.SimulatePhase(*schedule);
     if (!sim.ok()) {

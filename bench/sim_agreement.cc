@@ -39,8 +39,8 @@ int main(int argc, char** argv) {
                                artifacts->costs, config.cost, config.machine,
                                usage, options);
       if (!plan.ok()) return 1;
-      FluidSimulator optimal(usage, SharingPolicy::kOptimalStretch);
-      FluidSimulator naive(usage, SharingPolicy::kUniformSlowdown);
+      FluidSimulator optimal(SharingPolicy::kOptimalStretch);
+      FluidSimulator naive(SharingPolicy::kUniformSlowdown);
       auto fast = optimal.Simulate(*plan);
       auto slow = naive.Simulate(*plan);
       if (!fast.ok() || !slow.ok()) return 1;

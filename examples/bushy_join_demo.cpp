@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
               tree->response_time / bound->Bound());
 
   // Execute the schedule operationally.
-  FluidSimulator sim(usage);
+  FluidSimulator sim;
   auto run = sim.Simulate(*tree);
   if (!run.ok()) return 1;
   std::printf("Fluid simulation: response %s (analytic %s)\n",
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
               run->average_utilization[2] * 100.0);
 
   // And under a naive round-robin engine.
-  FluidSimulator naive(usage, SharingPolicy::kUniformSlowdown);
+  FluidSimulator naive(SharingPolicy::kUniformSlowdown);
   auto slow = naive.Simulate(*tree);
   if (!slow.ok()) return 1;
   std::printf(

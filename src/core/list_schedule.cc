@@ -8,69 +8,12 @@
 #include "common/logging.h"
 #include "common/str_util.h"
 #include "core/malleable.h"
+#include "core/site_timeline.h"
 #include "exec/explain.h"
 
 namespace mrs {
 
 namespace {
-
-/// One clone mid-flight at a site during the virtual-time event loop.
-struct RunningClone {
-  int placement = -1;  ///< index into the global schedule's placements()
-  int task = -1;
-  WorkVector remaining;
-  double own = 0.0;  ///< remaining stand-alone time
-};
-
-/// Per-site state of the event loop: the resident clones, the instant the
-/// site's remainders were last rebased to (`now`), the projected common
-/// completion `finish`, and the eq. (3) diagnosis of the last projection.
-struct SiteState {
-  double now = 0.0;
-  double finish = 0.0;
-  double last_finish = 0.0;  ///< committed completion of the last wave
-  bool congestion = false;
-  int resource = -1;
-  std::vector<RunningClone> active;
-};
-
-/// Rebases a site's remainders to instant `t` (now <= t <= finish): the
-/// residents have completed the fraction (t - now) / (finish - now) of
-/// their remaining work, all progressing toward the common completion.
-void AdvanceSite(SiteState* s, double t) {
-  if (s->active.empty() || t <= s->now) {
-    s->now = std::max(s->now, t);
-    return;
-  }
-  const double factor = (s->finish - t) / (s->finish - s->now);
-  for (RunningClone& c : s->active) {
-    c.remaining *= factor;
-    c.own *= factor;
-  }
-  s->now = t;
-}
-
-/// Recomputes the common completion of a site's residents — eq. (2) on
-/// remaining work: finish = now + max(max_c own_c, l(sum_c remaining_c)) —
-/// and records which term binds (plus the arg max resource).
-void ProjectSiteFinish(SiteState* s, WorkVector* scratch) {
-  double longest_own = 0.0;
-  scratch->SetZero();
-  for (const RunningClone& c : s->active) {
-    longest_own = std::max(longest_own, c.own);
-    *scratch += c.remaining;
-  }
-  const double load_len = scratch->Length();
-  s->finish = s->now + std::max(longest_own, load_len);
-  s->congestion = load_len >= longest_own;
-  s->resource = -1;
-  for (size_t i = 0; i < scratch->dim(); ++i) {
-    if (s->resource < 0 ||
-        (*scratch)[i] > (*scratch)[static_cast<size_t>(s->resource)]) {
-      s->resource = static_cast<int>(i);
-    }
-  }
-}
 
 /// The cost an operator's degree is derived from (see
 /// BuildDegreePolicy::kJoinAware; identical to TREESCHEDULE's rule).
@@ -205,9 +148,12 @@ Result<ListScheduleResult> GreedyListSchedule(
   }
   std::sort(ready.begin(), ready.end());
 
-  std::vector<SiteState> sites(static_cast<size_t>(config.num_sites));
+  // Each site's resident clones, keyed by placement index.
+  std::vector<SiteTimeline> sites(
+      static_cast<size_t>(config.num_sites),
+      SiteTimeline(static_cast<size_t>(config.dims)));
+  std::vector<int> placement_task;  // task of each placement
   std::unordered_map<int, std::vector<int>> home_of;
-  WorkVector scratch(static_cast<size_t>(config.dims));
   double t = 0.0;
   int completed_tasks = 0;
 
@@ -324,12 +270,12 @@ Result<ListScheduleResult> GreedyListSchedule(
           static_cast<size_t>(config.num_sites),
           WorkVector(static_cast<size_t>(config.dims)));
       for (int j = 0; j < config.num_sites; ++j) {
-        SiteState& s = sites[static_cast<size_t>(j)];
+        SiteTimeline& s = sites[static_cast<size_t>(j)];
         // Rebase even idle sites: their `now` must reach t so a new wave
         // projects from the clones' arrival instant, not the old finish.
-        AdvanceSite(&s, t);
-        for (const RunningClone& c : s.active) {
-          residual[static_cast<size_t>(j)] += c.remaining;
+        s.AdvanceTo(t);
+        for (const SiteTimeline::Resident& r : s.residents()) {
+          residual[static_cast<size_t>(j)] += r.remaining;
         }
         // External co-resident load is static over the query's horizon.
         if (external != nullptr) {
@@ -387,15 +333,10 @@ Result<ListScheduleResult> GreedyListSchedule(
         for (const ClonePlacement& c : round_schedule->placements()) {
           MRS_RETURN_IF_ERROR(result.schedule.PlaceAt(*by_id.at(c.op_id),
                                                       c.clone_idx, c.site, t));
-          const int placement = result.schedule.num_placements() - 1;
           const int tid = op_task.at(c.op_id);
-          RunningClone running;
-          running.placement = placement;
-          running.task = tid;
-          running.remaining = c.work;
-          running.own = c.t_seq;
-          sites[static_cast<size_t>(c.site)].active.push_back(
-              std::move(running));
+          sites[static_cast<size_t>(c.site)].Arrive(
+              static_cast<int>(placement_task.size()), c.work, c.t_seq);
+          placement_task.push_back(tid);
           touched[static_cast<size_t>(c.site)] = 1;
           // The next stage's least-loaded pass must see this clone.
           residual[static_cast<size_t>(c.site)] += c.work;
@@ -415,7 +356,7 @@ Result<ListScheduleResult> GreedyListSchedule(
       // remainders would only jitter the float).
       for (int j = 0; j < config.num_sites; ++j) {
         if (touched[static_cast<size_t>(j)]) {
-          ProjectSiteFinish(&sites[static_cast<size_t>(j)], &scratch);
+          sites[static_cast<size_t>(j)].Project();
         }
       }
       if (round_span.active()) {
@@ -436,30 +377,27 @@ Result<ListScheduleResult> GreedyListSchedule(
 
     // 4. Advance virtual time to the earliest site completion.
     double t_next = std::numeric_limits<double>::infinity();
-    for (const SiteState& s : sites) {
-      if (!s.active.empty()) t_next = std::min(t_next, s.finish);
+    for (const SiteTimeline& s : sites) {
+      if (!s.empty()) t_next = std::min(t_next, s.finish());
     }
     if (t_next == std::numeric_limits<double>::infinity()) break;
-    for (SiteState& s : sites) {
-      if (s.active.empty() || s.finish > t_next) continue;
-      for (const RunningClone& c : s.active) {
-        result.clone_finish[static_cast<size_t>(c.placement)] = s.finish;
-        int& left = outstanding_clones[static_cast<size_t>(c.task)];
+    for (SiteTimeline& s : sites) {
+      if (s.empty() || s.finish() > t_next) continue;
+      for (const SiteTimeline::Resident& r : s.residents()) {
+        result.clone_finish[static_cast<size_t>(r.id)] = s.finish();
+        const int task = placement_task[static_cast<size_t>(r.id)];
+        int& left = outstanding_clones[static_cast<size_t>(task)];
         if (--left == 0) {
-          ListTaskInterval& interval =
-              result.tasks[static_cast<size_t>(c.task)];
-          interval.finish = s.finish;
+          result.tasks[static_cast<size_t>(task)].finish = s.finish();
           ++completed_tasks;
-          const int parent = task_tree.task(c.task).parent;
+          const int parent = task_tree.task(task).parent;
           if (parent >= 0 &&
               --pending_children[static_cast<size_t>(parent)] == 0) {
             ready.push_back(parent);
           }
         }
       }
-      s.last_finish = s.finish;
-      s.now = s.finish;
-      s.active.clear();
+      s.Complete();
     }
     std::sort(ready.begin(), ready.end());
     t = t_next;
@@ -471,18 +409,27 @@ Result<ListScheduleResult> GreedyListSchedule(
                   completed_tasks, num_tasks));
   }
   result.makespan = t;
+  // eq. (3) diagnosis from the critical site's last projection (every
+  // site is idle now, so finish() is its last wave's completion); a site
+  // that never received a clone was never projected.
   for (size_t j = 0; j < sites.size(); ++j) {
-    const SiteState& s = sites[j];
     if (result.critical_site < 0 ||
-        s.last_finish >
-            sites[static_cast<size_t>(result.critical_site)].last_finish) {
+        sites[j].finish() >
+            sites[static_cast<size_t>(result.critical_site)].finish()) {
       result.critical_site = static_cast<int>(j);
     }
   }
-  if (result.critical_site >= 0) {
-    const SiteState& s = sites[static_cast<size_t>(result.critical_site)];
-    result.load_bound = s.congestion;
-    result.critical_resource = s.resource;
+  if (result.critical_site >= 0 &&
+      !result.schedule.SitePlacements(result.critical_site).empty()) {
+    const SiteTimeline& s = sites[static_cast<size_t>(result.critical_site)];
+    const WorkVector& load = s.load();
+    result.load_bound = load.Length() >= s.longest_own();
+    for (size_t i = 0; i < load.dim(); ++i) {
+      if (result.critical_resource < 0 ||
+          load[i] > load[static_cast<size_t>(result.critical_resource)]) {
+        result.critical_resource = static_cast<int>(i);
+      }
+    }
   }
   return result;
 }

@@ -1,10 +1,11 @@
 #include "core/schedule.h"
 
 #include <algorithm>
-#include <limits>
+#include <cmath>
 
 #include "common/logging.h"
 #include "common/str_util.h"
+#include "core/site_timeline.h"
 
 namespace mrs {
 
@@ -43,9 +44,10 @@ Status Schedule::Place(const ParallelizedOp& op, int clone_idx, int site) {
 
 Status Schedule::PlaceAt(const ParallelizedOp& op, int clone_idx, int site,
                          double start) {
-  if (start < 0.0) {
-    return Status::InvalidArgument(
-        StrFormat("op%d clone %d start %g < 0", op.op_id, clone_idx, start));
+  if (!std::isfinite(start) || start < 0.0) {
+    return Status::InvalidArgument(StrFormat(
+        "op%d clone %d start %g is not a finite time >= 0", op.op_id,
+        clone_idx, start));
   }
   if (site < 0 || site >= num_sites_) {
     return Status::OutOfRange(StrFormat("site %d outside [0, %d)", site,
@@ -155,82 +157,14 @@ double Schedule::SiteTime(int site) const {
 
 double Schedule::SweepSiteFinish(int site,
                                  std::vector<double>* finish) const {
-  // Arrival order: by start time, placement order within equal starts
-  // (starts of one placement round are bit-identical doubles, so exact
-  // comparisons keep the sweep deterministic).
-  std::vector<int> order;
-  order.reserve(SitePlacements(site).size());
-  for (int p : SitePlacements(site)) order.push_back(p);
-  std::stable_sort(order.begin(), order.end(), [this](int a, int b) {
-    return placements_[static_cast<size_t>(a)].start <
-           placements_[static_cast<size_t>(b)].start;
-  });
-
-  struct Active {
-    int placement;
-    WorkVector remaining;
-    double own;
-  };
-  std::vector<Active> active;
-  WorkVector load(static_cast<size_t>(dims_));
-  double now = 0.0;
-  double site_finish = 0.0;
-  size_t i = 0;
-  const size_t n = order.size();
-  while (i < n || !active.empty()) {
-    if (active.empty()) {
-      // Idle until the next arrival wave.
-      now = std::max(now, placements_[static_cast<size_t>(order[i])].start);
-      while (i < n &&
-             placements_[static_cast<size_t>(order[i])].start <= now) {
-        const ClonePlacement& c = placements_[static_cast<size_t>(order[i])];
-        active.push_back(Active{order[i], c.work, c.t_seq});
-        ++i;
-      }
-    }
-    // Earliest common completion of the resident set (eq. (2) over the
-    // remaining work).
-    double longest_own = 0.0;
-    load.SetZero();
-    for (const Active& a : active) {
-      longest_own = std::max(longest_own, a.own);
-      load += a.remaining;
-    }
-    const double f = now + std::max(longest_own, load.Length());
-    const double next_arrival =
-        i < n ? placements_[static_cast<size_t>(order[i])].start
-              : std::numeric_limits<double>::infinity();
-    if (next_arrival < f) {
-      // A new clone joins mid-wave: the residents have completed the
-      // fraction (next_arrival - now) / (f - now) of their remaining work
-      // (they all progress toward the common instant f), so both the
-      // remaining vectors and the stand-alone remainders scale by the
-      // complementary factor. f > now here since next_arrival >= now.
-      const double factor = (f - next_arrival) / (f - now);
-      for (Active& a : active) {
-        a.remaining *= factor;
-        a.own *= factor;
-      }
-      now = next_arrival;
-      while (i < n &&
-             placements_[static_cast<size_t>(order[i])].start <= now) {
-        const ClonePlacement& c = placements_[static_cast<size_t>(order[i])];
-        active.push_back(Active{order[i], c.work, c.t_seq});
-        ++i;
-      }
-    } else {
-      // The wave runs to completion: all residents finish together at f.
-      for (const Active& a : active) {
-        if (finish != nullptr) {
-          (*finish)[static_cast<size_t>(a.placement)] = f;
-        }
-      }
-      active.clear();
-      now = f;
-      site_finish = f;
-    }
+  std::vector<SiteArrival> arrivals;
+  arrivals.reserve(SitePlacements(site).size());
+  for (int p : SitePlacements(site)) {
+    const ClonePlacement& c = placements_[static_cast<size_t>(p)];
+    arrivals.push_back(SiteArrival{c.start, p, &c.work, c.t_seq});
   }
-  return site_finish;
+  SortByArrival(&arrivals);
+  return SweepSite(arrivals, static_cast<size_t>(dims_), finish, nullptr);
 }
 
 double Schedule::SiteFinish(int site) const {

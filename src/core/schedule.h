@@ -61,9 +61,10 @@ class Schedule {
   Status Place(const ParallelizedOp& op, int clone_idx, int site);
 
   /// Places clone `clone_idx` of `op` at `site` starting at virtual time
-  /// `start` >= 0 (same validity checks as Place). A non-zero start marks
-  /// the schedule non-aligned: SiteFinish/Makespan switch to the event
-  /// sweep over arrival times. PlaceAt with start == 0 is exactly Place.
+  /// `start`, which must be finite and >= 0 (plus the checks of Place). A
+  /// non-zero start marks the schedule non-aligned: SiteFinish/Makespan
+  /// switch to the event sweep over arrival times. PlaceAt with start == 0
+  /// is exactly Place.
   Status PlaceAt(const ParallelizedOp& op, int clone_idx, int site,
                  double start);
 
@@ -141,14 +142,10 @@ class Schedule {
   bool aligned() const { return aligned_; }
 
   /// Completion time of the last clone at `site` under the optimal-stretch
-  /// fluid discipline, honoring per-clone start times: clones arriving at
-  /// the site join the resident set, and at every arrival instant t the
-  /// common completion of the co-resident clones is recomputed as
-  ///   F = t + max( max_c own_c(t) , l(sum_c remaining_c(t)) )
-  /// — the eq. (2) rule applied to *remaining* work, which reduces to
-  /// SiteTime exactly when all starts are 0 (and that closed form is used
-  /// for aligned schedules, keeping the historical code path
-  /// byte-identical).
+  /// fluid discipline, honoring per-clone start times: the site's clones
+  /// are swept through a SiteTimeline (core/site_timeline.h), eq. (2) on
+  /// *remaining* work, which reduces to SiteTime exactly when all starts
+  /// are 0 (and that closed form is used for aligned schedules).
   double SiteFinish(int site) const;
 
   /// Completion time of every placed clone (parallel to placements()),
@@ -185,9 +182,9 @@ class Schedule {
     int count = 0;
   };
 
-  /// Event sweep behind SiteFinish/CloneFinishTimes for non-aligned
-  /// schedules; `finish`, when non-null, receives per-placement completion
-  /// times (only entries for `site` are written).
+  /// SweepSite over the site's clones, behind SiteFinish/CloneFinishTimes
+  /// for non-aligned schedules; `finish`, when non-null, receives
+  /// per-placement completion times (only entries for `site` are written).
   double SweepSiteFinish(int site, std::vector<double>* finish) const;
 
   int num_sites_;

@@ -31,10 +31,6 @@ Result<std::vector<ExecutionResult>> ExecBackend::RunTree(
   return results;
 }
 
-SimulateBackend::SimulateBackend(const OverlapUsageModel& usage,
-                                 SharingPolicy policy)
-    : usage_(usage), simulator_(usage_, policy) {}
-
 Result<ExecutionResult> SimulateBackend::Run(
     const Schedule& schedule, const std::vector<ExecOpSpec>& specs) {
   (void)specs;  // the simulator runs on placements alone
@@ -55,10 +51,9 @@ Result<ExecutionResult> SimulateBackend::Run(
 }
 
 Result<std::unique_ptr<ExecBackend>> MakeExecBackend(
-    const std::string& mode, const OverlapUsageModel& usage,
-    const ExecuteOptions& exec_options) {
+    const std::string& mode, const ExecuteOptions& exec_options) {
   if (mode == "simulate") {
-    return std::unique_ptr<ExecBackend>(new SimulateBackend(usage));
+    return std::unique_ptr<ExecBackend>(new SimulateBackend());
   }
   if (mode == "execute") {
     return std::unique_ptr<ExecBackend>(new ExecuteBackend(exec_options));

@@ -11,7 +11,6 @@
 #include "core/tree_schedule.h"
 #include "exec/fluid_simulator.h"
 #include "plan/operator_tree.h"
-#include "resource/usage_model.h"
 
 namespace mrs {
 
@@ -109,9 +108,8 @@ struct CloneExecution {
 /// What running one Schedule produced.
 struct ExecutionResult {
   /// The model-time timeline: per-site busy vectors and finish times plus
-  /// per-clone completion, directly comparable to
-  /// FluidSimulator::SimulateTimed (the execution differential tests pin
-  /// the two against each other within tolerance).
+  /// per-clone completion, as FluidSimulator::SimulateTimed computes it
+  /// under optimal stretch.
   PhaseSimulation timeline;
   /// Per-clone records, parallel to Schedule::placements().
   std::vector<CloneExecution> clones;
@@ -147,14 +145,14 @@ class ExecBackend {
       const TreeScheduleResult& plan, const std::vector<ExecOpSpec>& specs);
 };
 
-/// The fluid simulator behind the backend interface. Owns its usage-model
-/// copy; Run forwards to FluidSimulator::SimulateTimed and reports each
-/// clone's T_seq as its "measured" time.
+/// The fluid simulator behind the backend interface: Run forwards to
+/// FluidSimulator::SimulateTimed and reports each clone's T_seq as its
+/// "measured" time.
 class SimulateBackend : public ExecBackend {
  public:
   explicit SimulateBackend(
-      const OverlapUsageModel& usage,
-      SharingPolicy policy = SharingPolicy::kOptimalStretch);
+      SharingPolicy policy = SharingPolicy::kOptimalStretch)
+      : simulator_(policy) {}
 
   std::string_view name() const override { return "simulate"; }
 
@@ -162,17 +160,13 @@ class SimulateBackend : public ExecBackend {
                               const std::vector<ExecOpSpec>& specs) override;
 
  private:
-  OverlapUsageModel usage_;
   FluidSimulator simulator_;
 };
 
 /// Factory over the backend modes: `mode` is "simulate" or "execute".
-/// `usage` parameterizes the simulator (and the execute backend's virtual
-/// timeline is usage-independent: optimal stretch over (T_seq, W) as
-/// placed). `exec_options` applies to the execute mode only.
+/// `exec_options` applies to the execute mode only.
 Result<std::unique_ptr<ExecBackend>> MakeExecBackend(
-    const std::string& mode, const OverlapUsageModel& usage,
-    const ExecuteOptions& exec_options = {});
+    const std::string& mode, const ExecuteOptions& exec_options = {});
 
 }  // namespace mrs
 

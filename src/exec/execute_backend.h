@@ -18,10 +18,9 @@ namespace mrs {
 /// (workload/exec_data.h) on a thread pool, and the result carries both
 ///
 ///  * a *virtual timeline* — the optimal-stretch fluid discipline applied
-///    to the placements' predicted (T_seq, W), implemented independently
-///    of exec/fluid_simulator.cc (per-clone remaining *fractions* instead
-///    of mutated work vectors) so the differential tests compare two
-///    genuinely separate realizations of eq. (2)/(3); and
+///    to the placements' predicted (T_seq, W), exactly
+///    FluidSimulator::SimulateTimed (the independent realization the
+///    differential tests hold it against lives in tests/oracles/); and
 ///  * *measured* per-clone times (ExecMeter), which never influence the
 ///    timeline — they exist to be compared against it (exec/calibrate.h).
 ///

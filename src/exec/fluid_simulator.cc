@@ -6,6 +6,8 @@
 
 #include "common/logging.h"
 #include "common/str_util.h"
+#include "core/site_timeline.h"
+#include "resource/usage_model.h"
 
 namespace mrs {
 
@@ -17,184 +19,42 @@ struct ActiveClone {
   int placement_index;
   WorkVector remaining;     // remaining work per resource
   double remaining_own;     // remaining stand-alone time
-  double total_own;         // original T_seq
 };
 
-/// Simulates one site under the optimal-stretch discipline: at every
-/// event, the earliest feasible common completion instant is
-///   T_fin = now + max( max_c remaining_own_c , l({remaining_c}) )
-/// and every clone runs at rate remaining_c / (T_fin - now). No resource
-/// exceeds unit capacity (the second max term guarantees it) and no clone
-/// runs faster than stand-alone (the first term guarantees it). All clones
-/// finish together, which is exactly the eq. (2) site time when they start
-/// together.
-void SimulateSiteOptimal(std::vector<ActiveClone>* clones,
-                         SiteUtilization* util,
-                         std::vector<double>* finish_times) {
-  double now = 0.0;
-  WorkVector load(util->busy.dim());  // hoisted per-event accumulator
-  while (!clones->empty()) {
-    double longest_own = 0.0;
-    load.SetZero();
-    for (const auto& c : *clones) {
-      longest_own = std::max(longest_own, c.remaining_own);
-      load += c.remaining;
-    }
-    const double t_fin = now + std::max(longest_own, load.Length());
-    for (auto& c : *clones) {
-      util->busy += c.remaining;
-      (*finish_times)[static_cast<size_t>(c.placement_index)] = t_fin;
-    }
-    now = t_fin;
-    clones->clear();
-  }
-  util->finish = now;
-}
-
-/// Simulates one site under naive uniform time slicing: every active clone
-/// progresses at the same speed factor sigma = min(1, 1/rho) where rho is
-/// the peak resource oversubscription of the active set's stand-alone
-/// rates. Clones finish one by one; each completion releases capacity and
-/// sigma is recomputed.
-void SimulateSiteUniform(std::vector<ActiveClone>* clones,
+/// Simulates one site under naive uniform time slicing with staggered
+/// arrivals: every active clone progresses at the same speed factor
+/// sigma = min(1, 1/rho), where rho is the peak resource oversubscription
+/// of the active set's stand-alone rates. The event horizon is the earlier
+/// of the next completion (min own / sigma) and the next arrival; each
+/// completion releases capacity and sigma is recomputed.
+void SimulateSiteUniform(const std::vector<SiteArrival>& arrivals,
                          SiteUtilization* util,
                          std::vector<double>* finish_times) {
   double now = 0.0;
   WorkVector rate_sum(util->busy.dim());  // hoisted per-event accumulator
-  while (!clones->empty()) {
+  std::vector<ActiveClone> active;
+  size_t i = 0;
+  const size_t n = arrivals.size();
+  active.reserve(n);
+  const auto admit = [&] {
+    while (i < n && arrivals[i].start <= now) {
+      active.push_back(
+          ActiveClone{arrivals[i].id, *arrivals[i].work, arrivals[i].t_seq});
+      ++i;
+    }
+  };
+  while (i < n || !active.empty()) {
+    if (active.empty()) {
+      now = std::max(now, arrivals[i].start);
+      admit();
+    }
     // Rates r_c[i] = W_c[i] / T_seq_c are constant over a clone's life
     // (uniform usage, A3); remaining work = r * remaining_own.
     rate_sum.SetZero();
-    for (const auto& c : *clones) {
+    for (const auto& c : active) {
       if (c.remaining_own <= kTimeTol) continue;
       // Division, not reciprocal-multiply: keeps the event series (and the
       // golden schedules derived from it) bit-identical.
-      for (size_t i = 0; i < rate_sum.dim(); ++i) {
-        rate_sum[i] += c.remaining[i] / c.remaining_own;
-      }
-    }
-    const double rho = rate_sum.Length();
-    const double sigma = rho > 1.0 ? 1.0 / rho : 1.0;
-
-    // Next completion.
-    double min_own = std::numeric_limits<double>::infinity();
-    for (const auto& c : *clones) {
-      min_own = std::min(min_own, c.remaining_own);
-    }
-    const double dt = min_own / sigma;
-
-    // Advance all clones by dt wall time (sigma*dt own time). The
-    // consumed = remaining * fraction temporary is fused into two
-    // in-place scaled adds: busy[i] += r[i]*f and r[i] += r[i]*(-f) are
-    // bit-identical to the add/subtract of the materialized temporary
-    // (IEEE sign flip is exact).
-    for (auto& c : *clones) {
-      const double own_progress = sigma * dt;
-      const double fraction =
-          c.remaining_own > 0 ? own_progress / c.remaining_own : 1.0;
-      const double f = std::min(fraction, 1.0);
-      util->busy.AddScaled(c.remaining, f);
-      c.remaining.AddScaled(c.remaining, -f);
-      c.remaining_own -= own_progress;
-    }
-    now += dt;
-    for (auto it = clones->begin(); it != clones->end();) {
-      if (it->remaining_own <= kTimeTol) {
-        (*finish_times)[static_cast<size_t>(it->placement_index)] = now;
-        it = clones->erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  util->finish = now;
-}
-
-/// A clone that joins its site mid-simulation.
-struct TimedClone {
-  double start = 0.0;
-  ActiveClone clone;
-};
-
-/// Optimal-stretch discipline with staggered arrivals: between events the
-/// resident set progresses toward the common completion
-/// t_fin = now + max(max own, l(sum remaining)); an arrival before t_fin
-/// rebases every resident's remaining work by the complementary fraction
-/// and the common completion is recomputed over the enlarged set. With all
-/// starts at 0 this collapses to the single event of SimulateSiteOptimal.
-void SimulateSiteOptimalTimed(std::vector<TimedClone>* arrivals,
-                              SiteUtilization* util,
-                              std::vector<double>* finish_times) {
-  double now = 0.0;
-  WorkVector load(util->busy.dim());  // hoisted per-event accumulator
-  std::vector<ActiveClone> active;
-  size_t i = 0;
-  const size_t n = arrivals->size();
-  while (i < n || !active.empty()) {
-    if (active.empty()) {
-      now = std::max(now, (*arrivals)[i].start);
-      while (i < n && (*arrivals)[i].start <= now) {
-        active.push_back(std::move((*arrivals)[i].clone));
-        ++i;
-      }
-    }
-    double longest_own = 0.0;
-    load.SetZero();
-    for (const auto& c : active) {
-      longest_own = std::max(longest_own, c.remaining_own);
-      load += c.remaining;
-    }
-    const double t_fin = now + std::max(longest_own, load.Length());
-    const double next_arrival =
-        i < n ? (*arrivals)[i].start
-              : std::numeric_limits<double>::infinity();
-    if (next_arrival < t_fin) {
-      // Residents complete the fraction (next_arrival - now) /
-      // (t_fin - now) of their remaining work before the newcomer joins.
-      const double factor = (t_fin - next_arrival) / (t_fin - now);
-      for (auto& c : active) {
-        util->busy.AddScaled(c.remaining, 1.0 - factor);
-        c.remaining *= factor;
-        c.remaining_own *= factor;
-      }
-      now = next_arrival;
-      while (i < n && (*arrivals)[i].start <= now) {
-        active.push_back(std::move((*arrivals)[i].clone));
-        ++i;
-      }
-    } else {
-      for (const auto& c : active) {
-        util->busy += c.remaining;
-        (*finish_times)[static_cast<size_t>(c.placement_index)] = t_fin;
-      }
-      active.clear();
-      now = t_fin;
-    }
-  }
-  util->finish = now;
-}
-
-/// Uniform time slicing with staggered arrivals: the event horizon is the
-/// earlier of the next completion (min own / sigma) and the next arrival.
-void SimulateSiteUniformTimed(std::vector<TimedClone>* arrivals,
-                              SiteUtilization* util,
-                              std::vector<double>* finish_times) {
-  double now = 0.0;
-  WorkVector rate_sum(util->busy.dim());  // hoisted per-event accumulator
-  std::vector<ActiveClone> active;
-  size_t i = 0;
-  const size_t n = arrivals->size();
-  while (i < n || !active.empty()) {
-    if (active.empty()) {
-      now = std::max(now, (*arrivals)[i].start);
-      while (i < n && (*arrivals)[i].start <= now) {
-        active.push_back(std::move((*arrivals)[i].clone));
-        ++i;
-      }
-    }
-    rate_sum.SetZero();
-    for (const auto& c : active) {
-      if (c.remaining_own <= kTimeTol) continue;
       for (size_t r = 0; r < rate_sum.dim(); ++r) {
         rate_sum[r] += c.remaining[r] / c.remaining_own;
       }
@@ -207,10 +67,14 @@ void SimulateSiteUniformTimed(std::vector<TimedClone>* arrivals,
       min_own = std::min(min_own, c.remaining_own);
     }
     const double next_arrival =
-        i < n ? (*arrivals)[i].start
-              : std::numeric_limits<double>::infinity();
+        i < n ? arrivals[i].start : std::numeric_limits<double>::infinity();
     const double dt = std::min(min_own / sigma, next_arrival - now);
 
+    // Advance all clones by dt wall time (sigma*dt own time). The
+    // consumed = remaining * fraction temporary is fused into two
+    // in-place scaled adds: busy[i] += r[i]*f and r[i] += r[i]*(-f) are
+    // bit-identical to the add/subtract of the materialized temporary
+    // (IEEE sign flip is exact).
     for (auto& c : active) {
       const double own_progress = sigma * dt;
       const double fraction =
@@ -229,10 +93,7 @@ void SimulateSiteUniformTimed(std::vector<TimedClone>* arrivals,
         ++it;
       }
     }
-    while (i < n && (*arrivals)[i].start <= now) {
-      active.push_back(std::move((*arrivals)[i].clone));
-      ++i;
-    }
+    admit();
   }
   util->finish = now;
 }
@@ -241,60 +102,34 @@ void SimulateSiteUniformTimed(std::vector<TimedClone>* arrivals,
 
 Result<PhaseSimulation> FluidSimulator::SimulatePhase(
     const Schedule& schedule) const {
-  PhaseSimulation sim;
-  sim.sites.assign(static_cast<size_t>(schedule.num_sites()),
-                   SiteUtilization{
-                       WorkVector(static_cast<size_t>(schedule.dims())), 0.0});
-  sim.clone_finish.assign(schedule.placements().size(), 0.0);
-
-  for (int j = 0; j < schedule.num_sites(); ++j) {
-    std::vector<ActiveClone> clones;
-    clones.reserve(schedule.SitePlacements(j).size());
-    for (int p : schedule.SitePlacements(j)) {
-      const ClonePlacement& placement =
-          schedule.placements()[static_cast<size_t>(p)];
-      ActiveClone c;
-      c.placement_index = p;
-      c.remaining = placement.work;
-      c.remaining_own = placement.t_seq;
-      c.total_own = placement.t_seq;
-      if (!SequentialTimeWithinBounds(placement.work, placement.t_seq,
-                                      1e-6)) {
-        return Status::InvalidArgument(
-            StrFormat("clone of op%d violates max <= T_seq <= sum",
-                      placement.op_id));
-      }
-      clones.push_back(std::move(c));
-    }
-    SiteUtilization* util = &sim.sites[static_cast<size_t>(j)];
-    if (policy_ == SharingPolicy::kOptimalStretch) {
-      SimulateSiteOptimal(&clones, util, &sim.clone_finish);
-    } else {
-      SimulateSiteUniform(&clones, util, &sim.clone_finish);
-    }
-    sim.makespan = std::max(sim.makespan, util->finish);
-  }
-  return sim;
+  return SimulateSites(schedule, /*honor_starts=*/false);
 }
 
 Result<PhaseSimulation> FluidSimulator::SimulateTimed(
     const Schedule& schedule) const {
+  return SimulateSites(schedule, /*honor_starts=*/true);
+}
+
+Result<PhaseSimulation> FluidSimulator::SimulateSites(
+    const Schedule& schedule, bool honor_starts) const {
   PhaseSimulation sim;
+  const size_t dims = static_cast<size_t>(schedule.dims());
   sim.sites.assign(static_cast<size_t>(schedule.num_sites()),
-                   SiteUtilization{
-                       WorkVector(static_cast<size_t>(schedule.dims())), 0.0});
+                   SiteUtilization{WorkVector(dims), 0.0});
   sim.clone_finish.assign(schedule.placements().size(), 0.0);
 
+  std::vector<SiteArrival> arrivals;
   for (int j = 0; j < schedule.num_sites(); ++j) {
-    std::vector<TimedClone> arrivals;
+    arrivals.clear();
     arrivals.reserve(schedule.SitePlacements(j).size());
     for (int p : schedule.SitePlacements(j)) {
       const ClonePlacement& placement =
           schedule.placements()[static_cast<size_t>(p)];
-      if (placement.start < 0.0) {
+      if (honor_starts &&
+          (!std::isfinite(placement.start) || placement.start < 0.0)) {
         return Status::InvalidArgument(
-            StrFormat("clone of op%d starts at %g < 0", placement.op_id,
-                      placement.start));
+            StrFormat("clone of op%d starts at %g, not a finite time >= 0",
+                      placement.op_id, placement.start));
       }
       if (!SequentialTimeWithinBounds(placement.work, placement.t_seq,
                                       1e-6)) {
@@ -302,24 +137,15 @@ Result<PhaseSimulation> FluidSimulator::SimulateTimed(
             StrFormat("clone of op%d violates max <= T_seq <= sum",
                       placement.op_id));
       }
-      TimedClone t;
-      t.start = placement.start;
-      t.clone.placement_index = p;
-      t.clone.remaining = placement.work;
-      t.clone.remaining_own = placement.t_seq;
-      t.clone.total_own = placement.t_seq;
-      arrivals.push_back(std::move(t));
+      arrivals.push_back(SiteArrival{honor_starts ? placement.start : 0.0, p,
+                                     &placement.work, placement.t_seq});
     }
-    // Arrival order: start time, placement order within equal starts.
-    std::stable_sort(arrivals.begin(), arrivals.end(),
-                     [](const TimedClone& a, const TimedClone& b) {
-                       return a.start < b.start;
-                     });
+    if (honor_starts) SortByArrival(&arrivals);
     SiteUtilization* util = &sim.sites[static_cast<size_t>(j)];
     if (policy_ == SharingPolicy::kOptimalStretch) {
-      SimulateSiteOptimalTimed(&arrivals, util, &sim.clone_finish);
+      util->finish = SweepSite(arrivals, dims, &sim.clone_finish, &util->busy);
     } else {
-      SimulateSiteUniformTimed(&arrivals, util, &sim.clone_finish);
+      SimulateSiteUniform(arrivals, util, &sim.clone_finish);
     }
     sim.makespan = std::max(sim.makespan, util->finish);
   }

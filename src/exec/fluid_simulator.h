@@ -7,7 +7,6 @@
 #include "common/result.h"
 #include "core/schedule.h"
 #include "core/tree_schedule.h"
-#include "resource/usage_model.h"
 
 namespace mrs {
 
@@ -60,29 +59,28 @@ struct SimulationResult {
 /// unit capacity per resource and zero time-sharing overhead (A2).
 ///
 /// This is the operational counterpart of the analytic cost model: under
-/// SharingPolicy::kOptimalStretch the simulated phase makespan equals the
-/// eq. (3) value reported by Schedule::Makespan() (tests assert equality
-/// to floating-point tolerance), while kUniformSlowdown shows the price of
-/// a naive engine.
+/// SharingPolicy::kOptimalStretch each site steps through the same
+/// SiteTimeline sweep (core/site_timeline.h) as Schedule::SiteFinish, so
+/// the simulated makespan is the eq. (3) value Schedule::Makespan()
+/// reports, while kUniformSlowdown shows the price of a naive engine.
 class FluidSimulator {
  public:
-  explicit FluidSimulator(const OverlapUsageModel& usage,
-                          SharingPolicy policy = SharingPolicy::kOptimalStretch)
-      : usage_(usage), policy_(policy) {}
+  explicit FluidSimulator(
+      SharingPolicy policy = SharingPolicy::kOptimalStretch)
+      : policy_(policy) {}
 
-  /// Simulates one phase: all clones of `schedule` start at time 0 on
-  /// their sites. Historical phase-aligned entry point — per-clone start
-  /// times are ignored (see SimulateTimed for schedules that stagger
-  /// them).
+  /// Simulates one phase with every clone starting at time 0 on its site:
+  /// SimulateTimed with each ClonePlacement::start read as 0. For an
+  /// aligned schedule (every start 0) the two are the same computation.
   Result<PhaseSimulation> SimulatePhase(const Schedule& schedule) const;
 
   /// Simulates one schedule honoring per-clone start times
   /// (ClonePlacement::start, as produced by LISTSCHEDULE via
   /// Schedule::PlaceAt): a clone joins its site's resident set at its
   /// start instant and the sharing policy is applied to the time-varying
-  /// set. For an aligned schedule (every start 0) this reproduces
-  /// SimulatePhase exactly; under kOptimalStretch the per-site finish
-  /// matches Schedule::SiteFinish to floating-point precision.
+  /// set. Under kOptimalStretch the per-site finish equals
+  /// Schedule::SiteFinish. Rejects a non-finite or negative start and a
+  /// clone whose T_seq violates max(W) <= T_seq <= sum(W).
   Result<PhaseSimulation> SimulateTimed(const Schedule& schedule) const;
 
   /// Simulates a phased plan execution: phases run back to back with a
@@ -90,7 +88,11 @@ class FluidSimulator {
   Result<SimulationResult> Simulate(const TreeScheduleResult& plan) const;
 
  private:
-  const OverlapUsageModel& usage_;
+  /// Validates and simulates every site; `honor_starts` false reads every
+  /// start as 0 (SimulatePhase).
+  Result<PhaseSimulation> SimulateSites(const Schedule& schedule,
+                                        bool honor_starts) const;
+
   SharingPolicy policy_;
 };
 

@@ -133,7 +133,7 @@ TEST(AllocFreeTest, FluidSimulatorMarginalAllocationsPerCloneAreZero) {
         EXPECT_TRUE(schedule.Place(op, k, k).ok());
       }
     }
-    const FluidSimulator simulator(usage, policy);
+    const FluidSimulator simulator(policy);
     const uint64_t before = AllocCount();
     auto sim = simulator.SimulatePhase(schedule);
     EXPECT_TRUE(sim.ok()) << sim.status().ToString();

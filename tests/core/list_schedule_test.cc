@@ -249,7 +249,7 @@ TEST(ListScheduleTest, SimulateTimedRealizesTheSchedule) {
   auto list = ListSchedule(fx.op_tree, fx.task_tree, fx.costs, CostParams{},
                            Machine(7), usage, options);
   ASSERT_TRUE(list.ok());
-  FluidSimulator sim(usage);
+  FluidSimulator sim;
   auto simulated = sim.SimulateTimed(list->schedule);
   ASSERT_TRUE(simulated.ok()) << simulated.status().ToString();
   EXPECT_NEAR(simulated->makespan, list->makespan,
@@ -426,7 +426,7 @@ TEST(ListScheduleTest, PipelinedSimulateTimedAgrees) {
   auto piped = ListSchedule(fx.op_tree, fx.task_tree, fx.costs, CostParams{},
                             Machine(9), usage, options);
   ASSERT_TRUE(piped.ok());
-  FluidSimulator sim(usage);
+  FluidSimulator sim;
   auto simulated = sim.SimulateTimed(piped->schedule);
   ASSERT_TRUE(simulated.ok()) << simulated.status().ToString();
   EXPECT_NEAR(simulated->makespan, piped->makespan,
@@ -467,7 +467,7 @@ TEST(ListScheduleTest, HighDimensionalHeapPathAgrees) {
     // independent fluid realizations over heap-backed vectors.
     EXPECT_NEAR(list->makespan, list->schedule.Makespan(),
                 1e-6 * std::max(1.0, list->makespan));
-    FluidSimulator sim(usage);
+    FluidSimulator sim;
     auto simulated = sim.SimulateTimed(list->schedule);
     ASSERT_TRUE(simulated.ok()) << simulated.status().ToString();
     EXPECT_NEAR(simulated->makespan, list->makespan,

@@ -1,5 +1,7 @@
 #include "core/schedule.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "resource/usage_model.h"
@@ -154,6 +156,23 @@ TEST(ScheduleTest, ValidateDetectsRootedAwayFromHome) {
   // Place manually at the wrong site.
   ASSERT_TRUE(s.Place(a, 0, 1).ok());
   EXPECT_EQ(s.Validate({a}).code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(ScheduleTest, PlaceAtRejectsNonFiniteStart) {
+  // A NaN start never compares <= the sweep's clock, so its clone would
+  // never be admitted and Makespan() would loop forever.
+  OverlapUsageModel usage(0.5);
+  Schedule s(1, 2);
+  const ParallelizedOp op = MakeUnitOp(0, {4.0, 0.0}, usage);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(), -1.0}) {
+    EXPECT_EQ(s.PlaceAt(op, 0, 0, bad).code(), StatusCode::kInvalidArgument)
+        << bad;
+  }
+  EXPECT_EQ(s.num_placements(), 0);
+  ASSERT_TRUE(s.PlaceAt(op, 0, 0, 2.0).ok());
+  EXPECT_FALSE(s.aligned());
+  EXPECT_EQ(s.Makespan(), 6.0);
 }
 
 TEST(ScheduleTest, ToStringListsSites) {

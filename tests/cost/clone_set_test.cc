@@ -235,7 +235,7 @@ TEST(CloneSetDifferentialTest, FluidSimulationIdenticalAfterCompression) {
   ASSERT_TRUE(a.ok() && b.ok());
   for (SharingPolicy policy :
        {SharingPolicy::kOptimalStretch, SharingPolicy::kUniformSlowdown}) {
-    const FluidSimulator simulator(usage, policy);
+    const FluidSimulator simulator(policy);
     auto sa = simulator.SimulatePhase(*a);
     auto sb = simulator.SimulatePhase(*b);
     ASSERT_TRUE(sa.ok() && sb.ok());

@@ -66,20 +66,19 @@ TEST(ExecOpSpecsTest, SpecsMirrorTheOperatorTree) {
 }
 
 TEST(ExecBackendFactoryTest, ResolvesModesAndRejectsUnknown) {
-  const OverlapUsageModel usage(0.5);
-  auto simulate = MakeExecBackend("simulate", usage);
+  auto simulate = MakeExecBackend("simulate");
   ASSERT_TRUE(simulate.ok());
   EXPECT_EQ((*simulate)->name(), "simulate");
-  auto execute = MakeExecBackend("execute", usage);
+  auto execute = MakeExecBackend("execute");
   ASSERT_TRUE(execute.ok());
   EXPECT_EQ((*execute)->name(), "execute");
-  EXPECT_FALSE(MakeExecBackend("warp-drive", usage).ok());
+  EXPECT_FALSE(MakeExecBackend("warp-drive").ok());
 }
 
 TEST(SimulateBackendTest, MatchesTheRawFluidSimulator) {
   BackendFixture b = MakeBackendFixture(BushyFourWayFixture());
-  SimulateBackend backend(b.usage);
-  const FluidSimulator simulator(b.usage);
+  SimulateBackend backend;
+  const FluidSimulator simulator;
   for (const PhaseSchedule& phase : b.plan.phases) {
     auto run = backend.Run(phase.schedule, b.specs);
     ASSERT_TRUE(run.ok()) << run.status().ToString();

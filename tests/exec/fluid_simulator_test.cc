@@ -19,8 +19,7 @@ using testing_util::MakeUnitOp;
 using testing_util::PlanFixture;
 
 TEST(FluidSimulatorTest, EmptyScheduleTakesZeroTime) {
-  OverlapUsageModel usage(0.5);
-  FluidSimulator sim(usage);
+  FluidSimulator sim;
   Schedule s(3, 2);
   auto result = sim.SimulatePhase(s);
   ASSERT_TRUE(result.ok());
@@ -29,7 +28,7 @@ TEST(FluidSimulatorTest, EmptyScheduleTakesZeroTime) {
 
 TEST(FluidSimulatorTest, SingleCloneRunsAtItsSequentialTime) {
   OverlapUsageModel usage(0.4);
-  FluidSimulator sim(usage);
+  FluidSimulator sim;
   Schedule s(2, 2);
   auto op = MakeUnitOp(0, {6.0, 2.0}, usage);
   ASSERT_TRUE(s.Place(op, 0, 0).ok());
@@ -43,7 +42,7 @@ TEST(FluidSimulatorTest, OptimalStretchRealizesEquation2) {
   // The paper's squeeze example: clones (22,[10,15]) and (10,[10,5]) share
   // a site and both finish at 22.
   OverlapUsageModel usage(0.3);
-  FluidSimulator sim(usage, SharingPolicy::kOptimalStretch);
+  FluidSimulator sim(SharingPolicy::kOptimalStretch);
   Schedule s(1, 2);
   ASSERT_TRUE(s.Place(MakeUnitOp(0, {10.0, 15.0}, usage), 0, 0).ok());
   ASSERT_TRUE(s.Place(MakeUnitOp(1, {10.0, 5.0}, usage), 0, 0).ok());
@@ -55,7 +54,7 @@ TEST(FluidSimulatorTest, OptimalStretchRealizesEquation2) {
 
 TEST(FluidSimulatorTest, OptimalStretchMatchesAnalyticOnRandomSchedules) {
   OverlapUsageModel usage(0.5);
-  FluidSimulator sim(usage);
+  FluidSimulator sim;
   std::vector<ParallelizedOp> ops;
   for (int i = 0; i < 9; ++i) {
     ops.push_back(MakeOp(
@@ -77,7 +76,7 @@ TEST(FluidSimulatorTest, OptimalStretchMatchesAnalyticOnRandomSchedules) {
 
 TEST(FluidSimulatorTest, BusyTimeEqualsWorkVectors) {
   OverlapUsageModel usage(0.5);
-  FluidSimulator sim(usage);
+  FluidSimulator sim;
   Schedule s(1, 2);
   ASSERT_TRUE(s.Place(MakeUnitOp(0, {4.0, 6.0}, usage), 0, 0).ok());
   ASSERT_TRUE(s.Place(MakeUnitOp(1, {3.0, 1.0}, usage), 0, 0).ok());
@@ -90,8 +89,8 @@ TEST(FluidSimulatorTest, BusyTimeEqualsWorkVectors) {
 
 TEST(FluidSimulatorTest, UniformSlowdownNeverFasterThanOptimal) {
   OverlapUsageModel usage(0.3);
-  FluidSimulator optimal(usage, SharingPolicy::kOptimalStretch);
-  FluidSimulator uniform(usage, SharingPolicy::kUniformSlowdown);
+  FluidSimulator optimal(SharingPolicy::kOptimalStretch);
+  FluidSimulator uniform(SharingPolicy::kUniformSlowdown);
   std::vector<ParallelizedOp> ops;
   for (int i = 0; i < 6; ++i) {
     ops.push_back(
@@ -108,7 +107,7 @@ TEST(FluidSimulatorTest, UniformSlowdownNeverFasterThanOptimal) {
 
 TEST(FluidSimulatorTest, UniformSlowdownAloneCloneUnaffected) {
   OverlapUsageModel usage(0.5);
-  FluidSimulator sim(usage, SharingPolicy::kUniformSlowdown);
+  FluidSimulator sim(SharingPolicy::kUniformSlowdown);
   Schedule s(1, 2);
   auto op = MakeUnitOp(0, {5.0, 3.0}, usage);
   ASSERT_TRUE(s.Place(op, 0, 0).ok());
@@ -119,7 +118,7 @@ TEST(FluidSimulatorTest, UniformSlowdownAloneCloneUnaffected) {
 
 TEST(FluidSimulatorTest, UniformSlowdownConservesWork) {
   OverlapUsageModel usage(0.2);
-  FluidSimulator sim(usage, SharingPolicy::kUniformSlowdown);
+  FluidSimulator sim(SharingPolicy::kUniformSlowdown);
   Schedule s(1, 2);
   ASSERT_TRUE(s.Place(MakeUnitOp(0, {4.0, 6.0}, usage), 0, 0).ok());
   ASSERT_TRUE(s.Place(MakeUnitOp(1, {5.0, 2.0}, usage), 0, 0).ok());
@@ -137,7 +136,7 @@ TEST(FluidSimulatorTest, FullPlanSimulationMatchesTreeSchedule) {
   auto plan = TreeSchedule(fx.op_tree, fx.task_tree, fx.costs, CostParams{},
                            machine, usage);
   ASSERT_TRUE(plan.ok());
-  FluidSimulator sim(usage);
+  FluidSimulator sim;
   auto result = sim.Simulate(*plan);
   ASSERT_TRUE(result.ok());
   EXPECT_NEAR(result->response_time, plan->response_time, 1e-6);
@@ -154,7 +153,7 @@ TEST(FluidSimulatorTest, DisjointResidentQueriesKeepTheirOwnMakespans) {
   // sites: interleaving their completions must reproduce each query's
   // standalone makespan and per-clone finish times exactly.
   OverlapUsageModel usage(0.4);
-  FluidSimulator sim(usage, SharingPolicy::kOptimalStretch);
+  FluidSimulator sim(SharingPolicy::kOptimalStretch);
 
   // Query A occupies sites 0 and 1, query B sites 2 and 3.
   const std::vector<std::pair<ParallelizedOp, int>> a_clones = {
@@ -207,8 +206,7 @@ TEST(FluidSimulatorTest, DisjointResidentQueriesKeepTheirOwnMakespans) {
 // (the machine's true dimensionality is unknowable without a phase). It
 // is now rejected outright.
 TEST(FluidSimulatorTest, RejectsPlanWithNoPhases) {
-  OverlapUsageModel usage(0.5);
-  FluidSimulator sim(usage);
+  FluidSimulator sim;
   TreeScheduleResult empty_plan;
   auto result = sim.Simulate(empty_plan);
   ASSERT_FALSE(result.ok());
@@ -216,8 +214,7 @@ TEST(FluidSimulatorTest, RejectsPlanWithNoPhases) {
 }
 
 TEST(FluidSimulatorTest, RejectsInconsistentCloneTimes) {
-  OverlapUsageModel usage(0.5);
-  FluidSimulator sim(usage);
+  FluidSimulator sim;
   Schedule s(1, 2);
   ParallelizedOp bogus;
   bogus.op_id = 0;

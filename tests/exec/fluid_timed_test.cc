@@ -27,7 +27,7 @@ TEST(FluidTimedTest, SeedAlignmentAssumptionBreaksOnStaggeredStarts) {
   // them from 0 (makespan 8); the timed sweep honors the idle gap
   // (finish at 4, idle to 10, finish at 14).
   OverlapUsageModel usage(0.5);
-  FluidSimulator sim(usage, SharingPolicy::kOptimalStretch);
+  FluidSimulator sim(SharingPolicy::kOptimalStretch);
   Schedule s(1, 2);
   ASSERT_TRUE(s.PlaceAt(MakeUnitOp(0, {4.0, 0.0}, usage), 0, 0, 0.0).ok());
   ASSERT_TRUE(s.PlaceAt(MakeUnitOp(1, {4.0, 0.0}, usage), 0, 0, 10.0).ok());
@@ -47,7 +47,7 @@ TEST(FluidTimedTest, MidWaveArrivalSqueezesResidentClone) {
   // A 4ms CPU clone runs alone; at t=2 a 4ms disk clone joins. Remaining
   // work at t=2 is (2,0)+(0,4): common completion 2 + max(2, 4) = 6.
   OverlapUsageModel usage(1.0);  // full overlap: l(W) = max component
-  FluidSimulator sim(usage, SharingPolicy::kOptimalStretch);
+  FluidSimulator sim(SharingPolicy::kOptimalStretch);
   Schedule s(1, 2);
   ASSERT_TRUE(s.PlaceAt(MakeUnitOp(0, {4.0, 0.0}, usage), 0, 0, 0.0).ok());
   ASSERT_TRUE(s.PlaceAt(MakeUnitOp(1, {0.0, 4.0}, usage), 0, 0, 2.0).ok());
@@ -73,19 +73,18 @@ TEST(FluidTimedTest, AlignedScheduleReproducesSimulatePhaseExactly) {
   ASSERT_TRUE(plan.ok());
   for (SharingPolicy policy :
        {SharingPolicy::kOptimalStretch, SharingPolicy::kUniformSlowdown}) {
-    FluidSimulator sim(usage, policy);
+    FluidSimulator sim(policy);
     for (const PhaseSchedule& phase : plan->phases) {
       auto aligned = sim.SimulatePhase(phase.schedule);
       auto timed = sim.SimulateTimed(phase.schedule);
       ASSERT_TRUE(aligned.ok());
       ASSERT_TRUE(timed.ok());
-      EXPECT_DOUBLE_EQ(timed->makespan, aligned->makespan);
-      ASSERT_EQ(timed->clone_finish.size(), aligned->clone_finish.size());
-      for (size_t p = 0; p < timed->clone_finish.size(); ++p) {
-        EXPECT_DOUBLE_EQ(timed->clone_finish[p], aligned->clone_finish[p]);
-      }
+      EXPECT_EQ(timed->makespan, aligned->makespan);
+      EXPECT_EQ(timed->clone_finish, aligned->clone_finish);
+      ASSERT_EQ(timed->sites.size(), aligned->sites.size());
       for (size_t j = 0; j < timed->sites.size(); ++j) {
-        EXPECT_DOUBLE_EQ(timed->sites[j].finish, aligned->sites[j].finish);
+        EXPECT_EQ(timed->sites[j].finish, aligned->sites[j].finish);
+        EXPECT_EQ(timed->sites[j].busy, aligned->sites[j].busy);
       }
     }
   }
@@ -98,7 +97,7 @@ TEST(FluidTimedTest, StaggeredDisjointResidentQueriesKeepTheirOwnMakespans) {
   // two queries must not interfere: A keeps its standalone timeline, B
   // keeps its standalone timeline shifted by its arrival.
   OverlapUsageModel usage(0.4);
-  FluidSimulator sim(usage, SharingPolicy::kOptimalStretch);
+  FluidSimulator sim(SharingPolicy::kOptimalStretch);
   const double kArrival = 3.5;
 
   const std::vector<std::pair<ParallelizedOp, int>> a_clones = {
@@ -152,7 +151,7 @@ TEST(FluidTimedTest, StaggeredDisjointResidentQueriesKeepTheirOwnMakespans) {
 
 TEST(FluidTimedTest, UniformPolicyHonorsArrivalsAndConservesWork) {
   OverlapUsageModel usage(0.2);
-  FluidSimulator sim(usage, SharingPolicy::kUniformSlowdown);
+  FluidSimulator sim(SharingPolicy::kUniformSlowdown);
   Schedule s(1, 2);
   ASSERT_TRUE(s.PlaceAt(MakeUnitOp(0, {4.0, 6.0}, usage), 0, 0, 0.0).ok());
   ASSERT_TRUE(s.PlaceAt(MakeUnitOp(1, {5.0, 2.0}, usage), 0, 0, 1.0).ok());
@@ -168,7 +167,7 @@ TEST(FluidTimedTest, UniformPolicyHonorsArrivalsAndConservesWork) {
 
 TEST(FluidTimedTest, UniformLateSoloCloneFinishesAtStartPlusSequential) {
   OverlapUsageModel usage(0.5);
-  FluidSimulator sim(usage, SharingPolicy::kUniformSlowdown);
+  FluidSimulator sim(SharingPolicy::kUniformSlowdown);
   Schedule s(2, 2);
   ASSERT_TRUE(s.PlaceAt(MakeUnitOp(0, {3.0, 1.0}, usage), 0, 1, 7.0).ok());
   auto timed = sim.SimulateTimed(s);
@@ -190,7 +189,7 @@ TEST(FluidTimedTest, RealizesListScheduleTimeline) {
   auto list = ListSchedule(fx.op_tree, fx.task_tree, fx.costs, CostParams{},
                            machine, usage, options);
   ASSERT_TRUE(list.ok());
-  FluidSimulator sim(usage, SharingPolicy::kOptimalStretch);
+  FluidSimulator sim(SharingPolicy::kOptimalStretch);
   auto timed = sim.SimulateTimed(list->schedule);
   ASSERT_TRUE(timed.ok());
   EXPECT_NEAR(timed->makespan, list->makespan,
@@ -203,8 +202,7 @@ TEST(FluidTimedTest, RealizesListScheduleTimeline) {
 }
 
 TEST(FluidTimedTest, RejectsInconsistentCloneTimes) {
-  OverlapUsageModel usage(0.5);
-  FluidSimulator sim(usage);
+  FluidSimulator sim;
   Schedule s(1, 2);
   ParallelizedOp bogus;
   bogus.op_id = 0;

@@ -47,7 +47,7 @@ TEST_P(EndToEndTest, FullPipelineConsistency) {
     }
 
     // The simulator reproduces the analytic response time.
-    FluidSimulator sim(usage);
+    FluidSimulator sim;
     auto simulated = sim.Simulate(*tree);
     ASSERT_TRUE(simulated.ok());
     EXPECT_NEAR(simulated->response_time, tree->response_time,
@@ -91,7 +91,7 @@ TEST(EndToEndTest, MalleableAlsoSoundOnRealQueries) {
   for (const auto& phase : tree->phases) {
     ASSERT_TRUE(phase.schedule.Validate(phase.ops).ok());
   }
-  FluidSimulator sim(usage);
+  FluidSimulator sim;
   auto simulated = sim.Simulate(*tree);
   ASSERT_TRUE(simulated.ok());
   EXPECT_NEAR(simulated->response_time, tree->response_time, 1e-6);

@@ -13,7 +13,11 @@
 //     Theorem 5.1(a) guarantee it inherits from TREESCHEDULE via the
 //     guard;
 //   * structural validity (constraint A, rooted homes) and precedence on
-//     the shared timeline.
+//     the shared timeline;
+//   * capacity feasibility of every reported timeline (TREE per phase,
+//     LIST and PIPELINED with their guards on and off): no site window
+//     holds more work than its length on any resource, and no clone runs
+//     faster than its T_seq (CheckWindowCapacity).
 //
 // Replayability matches batch_fuzz_test.cc: every check runs under a
 // SCOPED_TRACE carrying the full case tuple, MRS_FUZZ_SEED re-roots the
@@ -42,6 +46,7 @@
 namespace mrs {
 namespace {
 
+using testing_util::CheckWindowCapacity;
 using testing_util::ListScheduleLowerBound;
 
 /// One pinned differential case (same tuple layout as batch_fuzz_test.cc
@@ -275,6 +280,32 @@ void CheckCase(const DiffCase& c, int plans_per_case) {
     EXPECT_LE(piped->makespan,
               (2.0 * machine.dims + 1.0) * tree_phase_lb_sum + tol);
 
+    // --- Capacity feasibility, from placements and finishes alone. The
+    // unguarded greedy schedules are checked too: with the guards on they
+    // are mostly replaced by the aligned fallback. ---
+    for (const PhaseSchedule& phase : tree->phases) {
+      EXPECT_TRUE(CheckWindowCapacity(phase.schedule,
+                                      phase.schedule.CloneFinishTimes()))
+          << "tree phase " << phase.phase;
+    }
+    EXPECT_TRUE(CheckWindowCapacity(list->schedule, list->clone_finish))
+        << "list";
+    EXPECT_TRUE(CheckWindowCapacity(piped->schedule, piped->clone_finish))
+        << "pipelined";
+    for (bool pipeline : {false, true}) {
+      ListScheduleOptions greedy_options;
+      greedy_options.granularity = c.f;
+      greedy_options.pipeline = pipeline;
+      greedy_options.pipeline_guard = false;
+      greedy_options.tree_guard = false;
+      auto greedy = ListSchedule(inputs.op_tree, inputs.task_tree,
+                                 inputs.costs, params, machine, usage,
+                                 greedy_options);
+      ASSERT_TRUE(greedy.ok()) << greedy.status().ToString();
+      EXPECT_TRUE(CheckWindowCapacity(greedy->schedule, greedy->clone_finish))
+          << (pipeline ? "unguarded pipelined" : "unguarded list");
+    }
+
     // --- SYNCHRONOUS: structurally sound and positive (it is the
     // adversary baseline, so no dominance direction is asserted). ---
     EXPECT_GT(sync->response_time, 0.0);
@@ -298,6 +329,24 @@ void CheckCase(const DiffCase& c, int plans_per_case) {
       }
     }
   }
+}
+
+TEST(CapacityCheckTest, FlagsOversubscribedWindowsAndTooFastClones) {
+  const OverlapUsageModel usage(1.0);  // T_seq = l(W)
+  Schedule s(1, 2);
+  ASSERT_TRUE(s.PlaceAt(testing_util::MakeUnitOp(0, {4.0, 0.0}, usage), 0,
+                        0, 0.0)
+                  .ok());
+  ASSERT_TRUE(s.PlaceAt(testing_util::MakeUnitOp(1, {4.0, 1.0}, usage), 0,
+                        0, 2.0)
+                  .ok());
+  EXPECT_TRUE(CheckWindowCapacity(s, s.CloneFinishTimes()));
+  EXPECT_TRUE(CheckWindowCapacity(s, {4.0, 10.0}));  // idles, feasible
+  // 8 ms of CPU work inside [0, 7]: one resource oversubscribed.
+  EXPECT_FALSE(CheckWindowCapacity(s, {6.0, 7.0}));
+  // Clone 1 needs 4 ms alone but would run [2, 5.5].
+  EXPECT_FALSE(CheckWindowCapacity(s, {4.0, 5.5}));
+  EXPECT_FALSE(CheckWindowCapacity(s, {4.0}));  // not parallel to placements
 }
 
 DiffCase DrawCase(Rng* rng) {

@@ -1,9 +1,9 @@
 // Differential execution harness: every plan is scheduled by the engines
 // (TREESCHEDULE, LISTSCHEDULE task-wave and pipelined, SYNCHRONOUS) and
-// then *run* on the execute backend, whose virtual timeline — an independent realization of
-// the optimal-stretch fluid discipline (per-clone remaining fractions,
-// exec/execute_backend.cc) — must agree with the fluid simulator's
-// SimulateTimed (mutated remaining work vectors, exec/fluid_simulator.cc)
+// then *run* on the execute backend, whose virtual timeline must equal the
+// fluid simulator's SimulateTimed bit for bit and agree with an
+// independent realization of the optimal-stretch fluid discipline
+// (per-clone remaining fractions, tests/oracles/virtual_timeline_oracle.cc)
 // within tolerance on every site finish time, busy vector, clone
 // completion, and the phase makespan. The SYNCHRONOUS baseline emits task
 // placements rather than a Schedule, so its plan is reconstructed with
@@ -31,6 +31,7 @@
 #include "exec/exec_backend.h"
 #include "exec/execute_backend.h"
 #include "exec/fluid_simulator.h"
+#include "oracles/virtual_timeline_oracle.h"
 #include "plan/operator_tree.h"
 #include "plan/task_tree.h"
 #include "test_util.h"
@@ -132,6 +133,27 @@ void ExpectTimelinesAgree(const PhaseSimulation& exec,
   }
 }
 
+/// The execute backend's timeline is SimulateTimed's, bit for bit, and
+/// agrees with the independent oracle sweep within tolerance.
+void CheckTimeline(const ExecutionResult& run, const FluidSimulator& simulator,
+                   const Schedule& schedule) {
+  auto sim = simulator.SimulateTimed(schedule);
+  ASSERT_TRUE(sim.ok()) << sim.status().ToString();
+  EXPECT_EQ(run.timeline.makespan, sim->makespan);
+  ASSERT_EQ(run.timeline.sites.size(), sim->sites.size());
+  for (size_t j = 0; j < sim->sites.size(); ++j) {
+    EXPECT_EQ(run.timeline.sites[j].finish, sim->sites[j].finish);
+    EXPECT_EQ(run.timeline.sites[j].busy, sim->sites[j].busy);
+  }
+  EXPECT_EQ(run.timeline.clone_finish, sim->clone_finish);
+
+  PhaseSimulation oracle_timeline;
+  const Status oracle_status =
+      oracle::ComputeVirtualTimeline(schedule, &oracle_timeline);
+  ASSERT_TRUE(oracle_status.ok()) << oracle_status.ToString();
+  ExpectTimelinesAgree(run.timeline, oracle_timeline, schedule);
+}
+
 /// Sanity on the execution records themselves (rows ran, fractions sane,
 /// records parallel to the placements).
 void ExpectExecutionSane(const ExecutionResult& run,
@@ -192,7 +214,7 @@ void CheckExecutionCase(const ExecDiffCase& c, int plans_per_case) {
   machine.num_sites = c.sites;
   const CostParams params;
   const OverlapUsageModel usage(c.eps);
-  const FluidSimulator simulator(usage, SharingPolicy::kOptimalStretch);
+  const FluidSimulator simulator(SharingPolicy::kOptimalStretch);
   ExecuteOptions exec;
   exec.meter = ExecMeter::kDeterministic;
   exec.threads = c.threads;
@@ -217,9 +239,7 @@ void CheckExecutionCase(const ExecDiffCase& c, int plans_per_case) {
         SCOPED_TRACE(::testing::Message() << "tree phase " << phase.phase);
         auto run = backend.Run(phase.schedule, specs);
         ASSERT_TRUE(run.ok()) << run.status().ToString();
-        auto sim = simulator.SimulateTimed(phase.schedule);
-        ASSERT_TRUE(sim.ok()) << sim.status().ToString();
-        ExpectTimelinesAgree(run->timeline, *sim, phase.schedule);
+        CheckTimeline(*run, simulator, phase.schedule);
         ExpectExecutionSane(*run, phase.schedule);
       }
     }
@@ -235,16 +255,14 @@ void CheckExecutionCase(const ExecDiffCase& c, int plans_per_case) {
       ExecuteBackend backend(exec);
       auto run = backend.Run(list->schedule, specs);
       ASSERT_TRUE(run.ok()) << run.status().ToString();
-      auto sim = simulator.SimulateTimed(list->schedule);
-      ASSERT_TRUE(sim.ok()) << sim.status().ToString();
-      ExpectTimelinesAgree(run->timeline, *sim, list->schedule);
+      CheckTimeline(*run, simulator, list->schedule);
       ExpectExecutionSane(*run, list->schedule);
     }
 
     // --- PIPELINED LISTSCHEDULE: overlapping producer/consumer residency
     // on the same timeline discipline; the pipelined replay (bounded
-    // queues, dedicated threads) must still match SimulateTimed within
-    // 1e-6 and stay byte-identical across thread counts. ---
+    // queues, dedicated threads) must still carry SimulateTimed's
+    // timeline and stay byte-identical across thread counts. ---
     ListScheduleOptions pipe_sched_options;
     pipe_sched_options.granularity = c.f;
     pipe_sched_options.pipeline = true;
@@ -258,9 +276,7 @@ void CheckExecutionCase(const ExecDiffCase& c, int plans_per_case) {
       ExecuteBackend backend(pipe_exec);
       auto run = backend.Run(piped->schedule, specs);
       ASSERT_TRUE(run.ok()) << run.status().ToString();
-      auto sim = simulator.SimulateTimed(piped->schedule);
-      ASSERT_TRUE(sim.ok()) << sim.status().ToString();
-      ExpectTimelinesAgree(run->timeline, *sim, piped->schedule);
+      CheckTimeline(*run, simulator, piped->schedule);
       ExpectExecutionSane(*run, piped->schedule);
 
       ExecuteOptions repool = pipe_exec;
@@ -287,9 +303,7 @@ void CheckExecutionCase(const ExecDiffCase& c, int plans_per_case) {
       ExecuteBackend backend(exec);
       auto run = backend.Run(schedule, specs);
       ASSERT_TRUE(run.ok()) << run.status().ToString();
-      auto sim = simulator.SimulateTimed(schedule);
-      ASSERT_TRUE(sim.ok()) << sim.status().ToString();
-      ExpectTimelinesAgree(run->timeline, *sim, schedule);
+      CheckTimeline(*run, simulator, schedule);
       ExpectExecutionSane(*run, schedule);
     }
   }

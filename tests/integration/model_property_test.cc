@@ -85,7 +85,7 @@ TEST_P(ModelPropertyTest, ScheduleInvariantsHold) {
   }
 
   // Operational agreement: the fluid simulator reproduces eq. (2)/(3).
-  FluidSimulator sim(usage);
+  FluidSimulator sim;
   auto simulated = sim.Simulate(*tree);
   ASSERT_TRUE(simulated.ok());
   EXPECT_NEAR(simulated->response_time, tree->response_time,

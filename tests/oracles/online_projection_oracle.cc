@@ -62,9 +62,7 @@ Result<PhaseProjection> ProjectContendedPhase(
     add_clone(p.work, p.t_seq, p.site);
   }
 
-  // The optimal-stretch discipline never reads the usage model.
-  const OverlapUsageModel usage(0.5);
-  const FluidSimulator simulator(usage, SharingPolicy::kOptimalStretch);
+  const FluidSimulator simulator(SharingPolicy::kOptimalStretch);
   auto sim = simulator.SimulatePhase(union_sched);
   if (!sim.ok()) return sim.status();
 

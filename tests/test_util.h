@@ -7,7 +7,10 @@
 #include <string>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "catalog/catalog.h"
+#include "core/schedule.h"
 #include "cost/cost_model.h"
 #include "cost/parallelize.h"
 #include "plan/operator_tree.h"
@@ -134,6 +137,64 @@ inline uint64_t FuzzSeed(uint64_t fallback) {
   const char* env = std::getenv("MRS_FUZZ_SEED");
   if (env == nullptr || *env == '\0') return fallback;
   return std::strtoull(env, nullptr, 10);
+}
+
+/// Capacity feasibility of a reported timeline (paper eq. (2), A2/A3),
+/// checked from the placements and clone finishes alone, without the
+/// timeline code that produced them. Per site, with a 1e-9 tolerance
+/// relative to the instants involved:
+///   * every window [start_a, finish_b] holds at most its length of work,
+///     per dimension, from the clones wholly inside it (unit capacity);
+///   * every clone takes at least its stand-alone T_seq.
+inline ::testing::AssertionResult CheckWindowCapacity(
+    const Schedule& schedule, const std::vector<double>& clone_finish) {
+  const std::vector<ClonePlacement>& placements = schedule.placements();
+  if (clone_finish.size() != placements.size()) {
+    return ::testing::AssertionFailure()
+           << clone_finish.size() << " finishes for " << placements.size()
+           << " placements";
+  }
+  constexpr double kRelTol = 1e-9;
+  for (int j = 0; j < schedule.num_sites(); ++j) {
+    std::vector<int> by_finish(schedule.SitePlacements(j).begin(),
+                               schedule.SitePlacements(j).end());
+    std::sort(by_finish.begin(), by_finish.end(), [&](int a, int b) {
+      return clone_finish[static_cast<size_t>(a)] <
+             clone_finish[static_cast<size_t>(b)];
+    });
+    for (int p : by_finish) {
+      const ClonePlacement& c = placements[static_cast<size_t>(p)];
+      const double finish = clone_finish[static_cast<size_t>(p)];
+      if (finish - c.start < c.t_seq - kRelTol * std::max(1.0, finish)) {
+        return ::testing::AssertionFailure()
+               << "site " << j << ": op" << c.op_id << "." << c.clone_idx
+               << " runs [" << c.start << ", " << finish
+               << "], shorter than its T_seq " << c.t_seq;
+      }
+    }
+    // Windows open at each clone's start; walking the clones in finish
+    // order accumulates those wholly inside [open, finish].
+    for (int a : by_finish) {
+      const double open = placements[static_cast<size_t>(a)].start;
+      WorkVector inside(static_cast<size_t>(schedule.dims()));
+      for (int b : by_finish) {
+        const ClonePlacement& c = placements[static_cast<size_t>(b)];
+        if (c.start < open) continue;
+        inside += c.work;
+        const double close = clone_finish[static_cast<size_t>(b)];
+        const double capacity =
+            (close - open) + kRelTol * std::max(1.0, close);
+        for (size_t i = 0; i < inside.dim(); ++i) {
+          if (inside[i] > capacity) {
+            return ::testing::AssertionFailure()
+                   << "site " << j << " window [" << open << ", " << close
+                   << "] holds " << inside[i] << " of resource " << i;
+          }
+        }
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 /// A fully pipelined chain of `joins` joins (2 phases).
