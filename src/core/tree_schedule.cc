@@ -70,6 +70,10 @@ Result<PhasePlanner> PhasePlanner::Create(const OperatorTree& op_tree,
   MRS_RETURN_IF_ERROR(params.Validate());
   MachineConfig config = machine;
   MRS_RETURN_IF_ERROR(config.Validate());
+  if (options.policy == ParallelizationPolicy::kCoarseGrain &&
+      options.granularity < 0) {
+    return Status::InvalidArgument("granularity parameter f must be >= 0");
+  }
   if (options.cache != nullptr &&
       !options.cache->CompatibleWith(params, usage.epsilon(),
                                      options.granularity,
@@ -116,6 +120,37 @@ OperatorCost PhasePlanner::SizingCost(int oid) const {
     }
   }
   return own;
+}
+
+Status PhasePlanner::Prepare() {
+  ParallelizeCache* const cache = options_.cache;
+  if (options_.policy != ParallelizationPolicy::kCoarseGrain ||
+      cache == nullptr) {
+    return Status::OK();
+  }
+  // A rooted op's home is its producer's placement, one site per clone,
+  // so its split depends only on the producer's degree.
+  std::unordered_map<int, int> degree_of;
+  for (int k = 0; k < num_phases(); ++k) {
+    for (int oid : task_tree_->PhaseOps(k)) {
+      const int producer = op_tree_->op(oid).blocking_input;
+      int degree = 0;
+      if (producer >= 0) {
+        auto it = degree_of.find(producer);
+        if (it == degree_of.end()) continue;  // NextPhase reports it
+        degree = it->second;
+      } else {
+        auto sized = cache->Floating(SizingCost(oid));
+        if (!sized.ok()) return sized.status();
+        degree = sized->degree;
+      }
+      auto split =
+          cache->AtDegree((*costs_)[static_cast<size_t>(oid)], degree);
+      if (!split.ok()) return split.status();
+      degree_of[oid] = degree;
+    }
+  }
+  return Status::OK();
 }
 
 Result<PhaseSchedule> PhasePlanner::NextPhase(

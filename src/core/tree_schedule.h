@@ -106,7 +106,8 @@ struct TreeScheduleResult {
 class PhasePlanner {
  public:
   /// Validates the inputs (cost vector size, cost params, machine config,
-  /// cache compatibility) exactly like TreeSchedule.
+  /// the coarse-grain granularity f, cache compatibility) exactly like
+  /// TreeSchedule.
   static Result<PhasePlanner> Create(const OperatorTree& op_tree,
                                      const TaskTree& task_tree,
                                      const std::vector<OperatorCost>& costs,
@@ -124,6 +125,16 @@ class PhasePlanner {
   /// Index of the phase the next NextPhase call schedules.
   int next_phase() const { return next_; }
   bool done() const { return next_ >= num_phases(); }
+
+  /// Warms the shared parallelize cache with every split NextPhase will
+  /// ask for that does not depend on placement: under kCoarseGrain, each
+  /// floating operator's Floating + AtDegree (join-aware sizing as in
+  /// NextPhase) and each rooted operator's split at its blocking
+  /// producer's degree. The cache is a pure function of its key, so the
+  /// phases placed later are unchanged; they only hit. No-op under
+  /// kMalleable or without a cache. Fails where NextPhase would fail to
+  /// parallelize.
+  Status Prepare();
 
   /// Parallelizes and list-schedules the next phase. `base_load`, when
   /// non-null, is forwarded to OperatorSchedule as the residual site load

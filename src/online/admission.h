@@ -62,7 +62,8 @@ struct AdmissionRequest {
   double arrival_ms = 0.0;
   /// Absolute deadline on the virtual clock; < 0 = none.
   double deadline_ms = -1.0;
-  /// Idle-system makespan estimate (drives kShortestMakespanFirst).
+  /// Idle-system makespan estimate. Set under kShortestMakespanFirst, its
+  /// only reader; 0 otherwise.
   double expected_makespan_ms = 0.0;
   /// Estimated bytes of materialized state while running.
   double memory_bytes = 0.0;

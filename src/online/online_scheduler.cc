@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "common/str_util.h"
-#include "core/list_schedule.h"
 #include "cost/cost_model.h"
 #include "plan/operator_tree.h"
 #include "plan/task_tree.h"
@@ -31,22 +30,6 @@ double RemainingFraction(double start, double finish, double t) {
 bool MaterializesState(OperatorKind kind) {
   return kind == OperatorKind::kBuild || kind == OperatorKind::kAggBuild ||
          kind == OperatorKind::kSortRun;
-}
-
-/// The list-engine options are derived from the shared TREESCHEDULE knobs
-/// (see OnlineSchedulerOptions::engine).
-ListScheduleOptions ListOptionsFrom(const OnlineSchedulerOptions& options,
-                                    ParallelizeCache* cache, TraceSink* trace,
-                                    const std::vector<WorkVector>* base_load) {
-  ListScheduleOptions out;
-  out.granularity = options.tree.granularity;
-  out.policy = options.tree.policy;
-  out.build_degree = options.tree.build_degree;
-  out.list_options = options.tree.list_options;
-  out.cache = cache;
-  out.trace = trace;
-  out.base_load = base_load;
-  return out;
 }
 
 }  // namespace
@@ -233,31 +216,13 @@ uint64_t OnlineScheduler::Submit(const PlanTree& plan, double arrival_ms,
   rec->costs = std::move(costs).value();
   cost_span.End();
 
-  // Admission estimates: the idle-system response time (an offline
-  // TreeSchedule over the shared memo cache) and the materialized-state
-  // footprint.
+  // Admission estimates: the planner (see PlanAtSubmit) and the
+  // materialized-state footprint.
   SpanTimer est_span(trace, "admission_estimate");
-  ParallelizeCache* cache = options_.use_cost_cache ? &cache_ : nullptr;
-  if (options_.engine == OnlineEngine::kList) {
-    auto estimate =
-        ListSchedule(*rec->ops, *rec->task_tree, rec->costs, params_, machine_,
-                     usage_, ListOptionsFrom(options_, cache, nullptr, nullptr));
-    if (!estimate.ok()) {
-      FinalizeRejected(rec, estimate.status(), OnlineQueryState::kRejected);
-      return id;
-    }
-    rec->result.expected_makespan_ms = estimate->makespan;
-  } else {
-    TreeScheduleOptions est_options = options_.tree;
-    est_options.cache = cache;
-    est_options.trace = nullptr;
-    auto estimate = TreeSchedule(*rec->ops, *rec->task_tree, rec->costs,
-                                 params_, machine_, usage_, est_options);
-    if (!estimate.ok()) {
-      FinalizeRejected(rec, estimate.status(), OnlineQueryState::kRejected);
-      return id;
-    }
-    rec->result.expected_makespan_ms = estimate->response_time;
+  Status planned = PlanAtSubmit(rec);
+  if (!planned.ok()) {
+    FinalizeRejected(rec, std::move(planned), OnlineQueryState::kRejected);
+    return id;
   }
   for (const PhysicalOp& op : rec->ops->ops()) {
     if (MaterializesState(op.kind)) {
@@ -301,6 +266,25 @@ uint64_t OnlineScheduler::Submit(const PlanTree& plan, double arrival_ms,
   return id;
 }
 
+Status OnlineScheduler::PlanAtSubmit(QueryRec* rec) {
+  TreeScheduleOptions tree_options = options_.tree;
+  tree_options.cache = options_.use_cost_cache ? &cache_ : nullptr;
+  tree_options.trace = rec->result.trace.get();
+  auto planner = PhasePlanner::Create(*rec->ops, *rec->task_tree, rec->costs,
+                                      params_, machine_, usage_, tree_options);
+  if (!planner.ok()) return planner.status();
+  rec->planner = std::make_unique<PhasePlanner>(std::move(planner).value());
+  if (admission_.options().policy != AdmissionPolicy::kShortestMakespanFirst) {
+    return rec->planner->Prepare();
+  }
+  tree_options.trace = nullptr;
+  auto estimate = TreeSchedule(*rec->ops, *rec->task_tree, rec->costs,
+                               params_, machine_, usage_, tree_options);
+  if (!estimate.ok()) return estimate.status();
+  rec->result.expected_makespan_ms = estimate->response_time;
+  return Status::OK();
+}
+
 void OnlineScheduler::AdmitQuery(QueryRec* rec) {
   rec->result.state = OnlineQueryState::kRunning;
   rec->result.admit_ms = now_;
@@ -308,22 +292,6 @@ void OnlineScheduler::AdmitQuery(QueryRec* rec) {
   queue_wait_hist_->Record(now_ - rec->result.arrival_ms);
   admission_.OnAdmitted(RequestOf(*rec));
   UpdateGauges();
-
-  if (options_.engine == OnlineEngine::kList) {
-    PlaceListSchedule(rec);
-    return;
-  }
-
-  TreeScheduleOptions tree_options = options_.tree;
-  tree_options.cache = options_.use_cost_cache ? &cache_ : nullptr;
-  tree_options.trace = rec->result.trace.get();
-  auto planner = PhasePlanner::Create(*rec->ops, *rec->task_tree, rec->costs,
-                                      params_, machine_, usage_, tree_options);
-  if (!planner.ok()) {
-    AbortQuery(rec, planner.status());
-    return;
-  }
-  rec->planner = std::make_unique<PhasePlanner>(std::move(planner).value());
   rec->result.schedule.phases.reserve(
       static_cast<size_t>(rec->planner->num_phases()));
   PlaceNextPhase(rec);
@@ -381,67 +349,6 @@ void OnlineScheduler::PlaceNextPhase(QueryRec* rec) {
 
   rec->fully_placed = rec->planner->done();
   PushEvent(now_ + barrier, Event::kPhaseDone, rec->result.id);
-}
-
-void OnlineScheduler::PlaceListSchedule(QueryRec* rec) {
-  std::vector<WorkVector> base;
-  const std::vector<WorkVector>* base_ptr = ResidualBaseNow(&base);
-
-  ParallelizeCache* cache = options_.use_cost_cache ? &cache_ : nullptr;
-  auto list = ListSchedule(
-      *rec->ops, *rec->task_tree, rec->costs, params_, machine_, usage_,
-      ListOptionsFrom(options_, cache, rec->result.trace.get(), base_ptr));
-  if (!list.ok()) {
-    AbortQuery(rec, list.status());
-    return;
-  }
-
-  SpanTimer place_span(rec->result.trace.get(), "online_place_list");
-
-  // Staggered reservations: each clone occupies its own [start, finish)
-  // window of the shared virtual clock, so later arrivals see its linearly
-  // decaying remaining work only while it is actually mid-flight.
-  const auto& placements = list->schedule.placements();
-  double serial = 0.0;
-  for (size_t i = 0; i < placements.size(); ++i) {
-    const ClonePlacement& p = placements[i];
-    resident_[static_cast<size_t>(p.site)].push_back(
-        ResidentClone{rec->result.id, p.work, p.t_seq, now_ + p.start,
-                      now_ + list->clone_finish[i]});
-    serial += p.t_seq;
-  }
-  const double makespan = list->makespan;
-
-  // One whole-query timing record. The list makespan already reflects the
-  // barrier-free timeline; residual load steered placement but does not
-  // stretch durations, so contended == uncontended here, and the serial
-  // bound is the run-everything-sequentially time of the query's clones.
-  OnlinePhaseTiming timing;
-  timing.phase = 0;
-  timing.start_ms = now_;
-  timing.finish_ms = now_ + makespan;
-  timing.uncontended_ms = makespan;
-  timing.serial_bound_ms = serial;
-  rec->result.timings.push_back(timing);
-
-  const int rounds = list->rounds;
-  const bool fell_back = list->used_tree_fallback;
-  PhaseSchedule placed{/*phase=*/0, std::move(list->ops),
-                       std::move(list->schedule), makespan};
-  rec->result.schedule.phases.push_back(std::move(placed));
-  rec->result.schedule.response_time = makespan;
-
-  if (place_span.active()) {
-    place_span.AttrInt("rounds", rounds);
-    place_span.AttrInt("tree_fallback", fell_back ? 1 : 0);
-    place_span.AttrDouble("start_ms", timing.start_ms);
-    place_span.AttrDouble("duration_ms", makespan);
-    place_span.AttrDouble("serial_bound_ms", serial);
-  }
-  place_span.End();
-
-  rec->fully_placed = true;
-  PushEvent(now_ + makespan, Event::kPhaseDone, rec->result.id);
 }
 
 void OnlineScheduler::CompleteQuery(QueryRec* rec, double at_ms) {
@@ -649,7 +556,7 @@ void OnlineScheduler::Dispatch(const Event& event) {
   switch (event.kind) {
     case Event::kPhaseDone:
       if (rec->result.state != OnlineQueryState::kRunning) return;  // stale
-      if (rec->planner != nullptr && !rec->planner->done()) {
+      if (!rec->planner->done()) {
         PlaceNextPhase(rec);
       } else {
         CompleteQuery(rec, event.time);

@@ -21,43 +21,21 @@
 
 namespace mrs {
 
-/// Per-query scheduling engine of the online scheduler.
-enum class OnlineEngine {
-  /// Phased TREESCHEDULE: phases are placed one at a time against the
-  /// residual load; contended completions follow ProjectContendedPhase
-  /// (the default).
-  kTree,
-  /// Barrier-free LISTSCHEDULE: the whole query is scheduled one-shot at
-  /// admission with the residual-load snapshot threaded through
-  /// ListScheduleOptions::base_load (ROADMAP item 1's leftover), so the
-  /// least-loaded rule steers every placement round away from busy sites.
-  /// Clone start/finish times become staggered reservations on the
-  /// virtual clock and the query completes at its list makespan. The
-  /// snapshot biases *placement* only — durations are not re-stretched by
-  /// later arrivals, matching the non-preemptive reservation model.
-  kList,
-};
-
 struct OnlineSchedulerOptions {
   /// Overlap epsilon of the usage model (EA2) used for costing and
   /// placement. (Contended completions take each clone's T_seq as given.)
   double overlap_eps = 0.5;
   int num_disks = 1;
-  /// Per-query TREESCHEDULE knobs. `cache` and `trace` are managed by the
-  /// scheduler itself (see use_cost_cache / collect_traces) and ignored.
-  /// `tree.list_options.placement_index` selects the indexed placement
-  /// engine for the residual-load OPERATORSCHEDULE path too (the
+  /// Per-query TREESCHEDULE knobs, for the phases placed on admission and
+  /// for the shortest-makespan-first estimate. `cache` and `trace` are
+  /// managed by the scheduler itself (see use_cost_cache / collect_traces)
+  /// and ignored. `tree.list_options.placement_index` selects the indexed
+  /// placement engine for the residual-load OPERATORSCHEDULE path too (the
   /// base_load branch re-run per phase of every admitted query) — with P
   /// sites and MPL resident queries that path is the hot loop of the
   /// service, and the indexed and linear engines are pinned to produce
   /// byte-identical placements.
   TreeScheduleOptions tree;
-  /// Engine each admitted query is scheduled with. Both engines share the
-  /// `tree` knobs (granularity, policy, build_degree, list_options); the
-  /// admission-time makespan estimate uses the selected engine too, so the
-  /// documented "equals the contended response time when the query runs
-  /// alone" property holds for either.
-  OnlineEngine engine = OnlineEngine::kTree;
   AdmissionOptions admission;
   /// Share one memoized parallelize cache across all queries.
   bool use_cost_cache = true;
@@ -113,9 +91,10 @@ struct OnlineQueryResult {
   double arrival_ms = 0.0;
   double admit_ms = -1.0;
   double finish_ms = -1.0;
-  /// Idle-system response-time estimate made at submit (drives the
-  /// shortest-makespan-first policy; equals the contended response time
-  /// exactly when the query runs alone).
+  /// Idle-system response time (the offline TreeSchedule), made at
+  /// submit. Set under shortest-makespan-first, its only reader; 0
+  /// otherwise. Equals the contended response time exactly when the query
+  /// runs alone.
   double expected_makespan_ms = 0.0;
   double memory_estimate_bytes = 0.0;
   /// Placed phases; each PhaseSchedule::makespan is the *contended*
@@ -271,9 +250,12 @@ class OnlineScheduler {
   void ProcessUntil(double t_ms);
   void Dispatch(const Event& event);
   void PushEvent(double time, Event::Kind kind, uint64_t query);
+  /// Creates the query's PhasePlanner and, under shortest-makespan-first,
+  /// the idle-system estimate; otherwise PhasePlanner::Prepare. A failure
+  /// here rejects the query before admission.
+  Status PlanAtSubmit(QueryRec* rec);
   void AdmitQuery(QueryRec* rec);
   void PlaceNextPhase(QueryRec* rec);
-  void PlaceListSchedule(QueryRec* rec);
   void CompleteQuery(QueryRec* rec, double at_ms);
   void AbortQuery(QueryRec* rec, Status status);
   void FinalizeRejected(QueryRec* rec, Status status, OnlineQueryState state);

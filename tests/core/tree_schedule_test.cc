@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "cost/parallelize_cache.h"
+#include "io/schedule_export.h"
 #include "resource/usage_model.h"
 #include "test_util.h"
 
@@ -219,6 +221,76 @@ TEST(TreeScheduleTest, RejectsMismatchedCosts) {
   EXPECT_FALSE(TreeSchedule(fx.op_tree, fx.task_tree, bad_costs, CostParams{},
                             Machine(8), usage)
                    .ok());
+}
+
+TEST(PhasePlannerTest, PrepareWarmsEverySplitThePhasesUse) {
+  // After Prepare, placing every phase hits the cache only, and the
+  // schedule is the uncached TreeSchedule's, for both build policies.
+  PlanFixture fx = BushyFourWayFixture({100000, 1000, 90000, 2000});
+  OverlapUsageModel usage(0.5);
+  const MachineConfig machine = Machine(16);
+  for (const BuildDegreePolicy policy :
+       {BuildDegreePolicy::kJoinAware, BuildDegreePolicy::kBuildOnly}) {
+    TreeScheduleOptions options;
+    options.build_degree = policy;
+    auto offline = TreeSchedule(fx.op_tree, fx.task_tree, fx.costs,
+                                CostParams{}, machine, usage, options);
+    ASSERT_TRUE(offline.ok());
+
+    MetricsRegistry metrics;
+    ParallelizeCache cache(CostParams{}, usage.epsilon(), options.granularity,
+                           machine.num_sites, &metrics);
+    options.cache = &cache;
+    auto planner = PhasePlanner::Create(fx.op_tree, fx.task_tree, fx.costs,
+                                        CostParams{}, machine, usage, options);
+    ASSERT_TRUE(planner.ok());
+    ASSERT_TRUE(planner->Prepare().ok());
+    const uint64_t misses = cache.counter().misses();
+    EXPECT_GT(misses, 0u);
+    TreeScheduleResult placed;
+    while (!planner->done()) {
+      auto phase = planner->NextPhase();
+      ASSERT_TRUE(phase.ok());
+      placed.response_time += phase->makespan;
+      placed.phases.push_back(std::move(phase).value());
+    }
+    EXPECT_EQ(cache.counter().misses(), misses);
+    EXPECT_EQ(TreeScheduleToJson(placed), TreeScheduleToJson(*offline));
+  }
+}
+
+TEST(PhasePlannerTest, PrepareLeavesTheCacheAloneUnderMalleable) {
+  PlanFixture fx = BushyFourWayFixture();
+  OverlapUsageModel usage(0.5);
+  MetricsRegistry metrics;
+  ParallelizeCache cache(CostParams{}, usage.epsilon(), 0.7, 16, &metrics);
+  TreeScheduleOptions options;
+  options.policy = ParallelizationPolicy::kMalleable;
+  options.cache = &cache;
+  auto planner = PhasePlanner::Create(fx.op_tree, fx.task_tree, fx.costs,
+                                      CostParams{}, Machine(16), usage,
+                                      options);
+  ASSERT_TRUE(planner.ok());
+  ASSERT_TRUE(planner->Prepare().ok());
+  EXPECT_EQ(cache.NumEntries(), 0u);
+}
+
+TEST(PhasePlannerTest, RejectsNegativeGranularityAtCreate) {
+  PlanFixture fx = BushyFourWayFixture();
+  OverlapUsageModel usage(0.5);
+  TreeScheduleOptions options;
+  options.granularity = -1.0;
+  auto planner = PhasePlanner::Create(fx.op_tree, fx.task_tree, fx.costs,
+                                      CostParams{}, Machine(16), usage,
+                                      options);
+  ASSERT_FALSE(planner.ok());
+  EXPECT_EQ(planner.status().message(),
+            "granularity parameter f must be >= 0");
+  // The malleable policy ignores f.
+  options.policy = ParallelizationPolicy::kMalleable;
+  EXPECT_TRUE(PhasePlanner::Create(fx.op_tree, fx.task_tree, fx.costs,
+                                   CostParams{}, Machine(16), usage, options)
+                  .ok());
 }
 
 TEST(TreeScheduleTest, SingleSiteMachineWorks) {

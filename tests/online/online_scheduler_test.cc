@@ -2,12 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <set>
 
 #include "common/rng.h"
-#include "core/list_schedule.h"
 #include "core/tree_schedule.h"
 #include "io/schedule_export.h"
 #include "test_util.h"
@@ -60,7 +61,6 @@ TEST(OnlineSchedulerTest, IdleSystemMatchesOfflineByteForByte) {
   // byte-identical JSON.
   EXPECT_EQ(TreeScheduleToJson(r->schedule), TreeScheduleToJson(offline));
   EXPECT_DOUBLE_EQ(r->schedule.response_time, offline.response_time);
-  EXPECT_DOUBLE_EQ(r->expected_makespan_ms, r->schedule.response_time);
   EXPECT_DOUBLE_EQ(r->finish_ms - r->admit_ms, offline.response_time);
   ASSERT_EQ(r->timings.size(), offline.phases.size());
   for (size_t k = 0; k < r->timings.size(); ++k) {
@@ -552,109 +552,25 @@ TEST(OnlineSchedulerTest, TakeResultNeedsAResolvedQuery) {
   EXPECT_EQ(sched.result(b), nullptr);
 }
 
-TEST(OnlineSchedulerTest, ListEngineIdleMatchesOfflineListSchedule) {
-  PlanFixture fx = BushyFourWayFixture();
-  MachineConfig machine;
-  OverlapUsageModel usage(0.5);
-  auto offline = ListSchedule(fx.op_tree, fx.task_tree, fx.costs, CostParams{},
-                              machine, usage, ListScheduleOptions{});
-  ASSERT_TRUE(offline.ok()) << offline.status().ToString();
-
-  MetricsRegistry metrics;
-  OnlineSchedulerOptions options;
-  options.metrics = &metrics;
-  options.engine = OnlineEngine::kList;
-  OnlineScheduler sched(CostParams{}, machine, options);
-  const uint64_t id = sched.Submit(*fx.plan);
-  ASSERT_TRUE(sched.ResolveQuery(id).ok());
-  const OnlineQueryResult* r = sched.result(id);
-  ASSERT_NE(r, nullptr);
-  ASSERT_TRUE(sched.Drain().ok());
-  EXPECT_EQ(r->state, OnlineQueryState::kDone);
-  // One-shot placement: a single whole-query "phase" whose duration is the
-  // barrier-free makespan, matching the offline ListSchedule exactly on an
-  // idle machine.
-  ASSERT_EQ(r->schedule.phases.size(), 1u);
-  EXPECT_EQ(r->schedule.response_time, offline->makespan);
-  EXPECT_EQ(r->expected_makespan_ms, offline->makespan);
-  EXPECT_EQ(r->finish_ms - r->admit_ms, offline->makespan);
-  ASSERT_EQ(r->timings.size(), 1u);
-  EXPECT_EQ(r->timings[0].DurationMs(), offline->makespan);
-}
-
-TEST(OnlineSchedulerTest, ListEngineNeverWorseThanTreeWhenIdle) {
-  // tree_guard makes the per-query LISTSCHEDULE result never exceed the
-  // TREESCHEDULE response time; on an idle machine the online response
-  // times inherit the invariant.
-  for (auto make : {+[] { return BushyFourWayFixture(); },
-                    +[] { return PipelinedChainFixture(5); }}) {
-    PlanFixture fx = make();
-    MachineConfig machine;
-    double response[2];
-    int i = 0;
-    for (const OnlineEngine engine :
-         {OnlineEngine::kTree, OnlineEngine::kList}) {
-      MetricsRegistry metrics;
-      OnlineSchedulerOptions options;
-      options.metrics = &metrics;
-      options.engine = engine;
-      OnlineScheduler sched(CostParams{}, machine, options);
-      const uint64_t id = sched.Submit(*fx.plan);
-      ASSERT_TRUE(sched.ResolveQuery(id).ok());
-      ASSERT_TRUE(sched.Drain().ok());
-      response[i++] = sched.result(id)->schedule.response_time;
-    }
-    EXPECT_LE(response[1], response[0]);
-  }
-}
-
 TEST(OnlineSchedulerTest, EnginesAreRunToRunDeterministic) {
   // The same overlapping workload, submitted twice to a fresh scheduler,
-  // must produce byte-identical schedules — for the default engine (the
-  // historical TREESCHEDULE path) and for the LISTSCHEDULE engine.
+  // must produce byte-identical schedules.
   PlanFixture fa = BushyFourWayFixture();
   PlanFixture fb = PipelinedChainFixture(3);
   MachineConfig machine;
-  for (const OnlineEngine engine :
-       {OnlineEngine::kTree, OnlineEngine::kList}) {
-    auto run = [&] {
-      MetricsRegistry metrics;
-      OnlineSchedulerOptions options;
-      options.metrics = &metrics;
-      options.engine = engine;
-      OnlineScheduler sched(CostParams{}, machine, options);
-      const uint64_t a = sched.Submit(*fa.plan, 0.0);
-      const uint64_t b = sched.Submit(*fb.plan, 0.5);
-      EXPECT_TRUE(sched.Drain().ok());
-      EXPECT_TRUE(sched.CheckInvariants().ok());
-      return TreeScheduleToJson(sched.result(a)->schedule) +
-             TreeScheduleToJson(sched.result(b)->schedule);
-    };
-    EXPECT_EQ(run(), run());
-  }
-}
-
-TEST(OnlineSchedulerTest, ListEngineContendedRunDrainsCleanly) {
-  PlanFixture fa = BushyFourWayFixture();
-  PlanFixture fb = PipelinedChainFixture(4);
-  MachineConfig machine;
-  MetricsRegistry metrics;
-  OnlineSchedulerOptions options;
-  options.metrics = &metrics;
-  options.engine = OnlineEngine::kList;
-  OnlineScheduler sched(CostParams{}, machine, options);
-  const uint64_t a = sched.Submit(*fa.plan, 0.0);
-  const uint64_t b = sched.Submit(*fb.plan, 0.25);
-  ASSERT_TRUE(sched.CheckInvariants().ok());
-  ASSERT_TRUE(sched.Drain().ok());
-  EXPECT_EQ(sched.result(a)->state, OnlineQueryState::kDone);
-  EXPECT_EQ(sched.result(b)->state, OnlineQueryState::kDone);
-  ASSERT_TRUE(sched.CheckInvariants().ok());
-  for (const WorkVector& w : sched.ResidualLoad()) {
-    for (size_t d = 0; d < w.dim(); ++d) {
-      EXPECT_EQ(w[d], 0.0) << "residual load left behind";
-    }
-  }
+  auto run = [&] {
+    MetricsRegistry metrics;
+    OnlineSchedulerOptions options;
+    options.metrics = &metrics;
+    OnlineScheduler sched(CostParams{}, machine, options);
+    const uint64_t a = sched.Submit(*fa.plan, 0.0);
+    const uint64_t b = sched.Submit(*fb.plan, 0.5);
+    EXPECT_TRUE(sched.Drain().ok());
+    EXPECT_TRUE(sched.CheckInvariants().ok());
+    return TreeScheduleToJson(sched.result(a)->schedule) +
+           TreeScheduleToJson(sched.result(b)->schedule);
+  };
+  EXPECT_EQ(run(), run());
 }
 
 /// FNV-1a over `text`, folded into `*h`.
@@ -665,43 +581,52 @@ void Fnv1a(const std::string& text, uint64_t* h) {
   }
 }
 
-/// Digest of a contended replay: a fixed Poisson stream (seed 7, 120
-/// queries of 4-10 joins, 1500 ms mean inter-arrival) through one
-/// scheduler on P=64 sites at MPL 16, hashing every query's admit and
-/// finish instants, phase timings (all "%a", so bit-exact) and clone
-/// sites.
-uint64_t ContendedStreamDigest(OnlineEngine engine) {
-  constexpr int kQueries = 120;
+constexpr int kStreamQueries = 120;
+
+/// Replays a fixed Poisson stream (seed 7, kStreamQueries queries of 4-10
+/// joins, 1500 ms mean inter-arrival) on P=64 sites at MPL 16 under
+/// `policy`; returns the drained scheduler and the ids in arrival order.
+std::unique_ptr<OnlineScheduler> ReplayContendedStream(
+    AdmissionPolicy policy, MetricsRegistry* metrics,
+    std::vector<uint64_t>* ids) {
   MachineConfig machine;
   machine.num_sites = 64;
-  MetricsRegistry metrics;
   OnlineSchedulerOptions options;
-  options.metrics = &metrics;
-  options.engine = engine;
+  options.metrics = metrics;
+  options.admission.policy = policy;
   options.admission.max_in_flight = 16;
   options.admission.max_queue_depth = 1 << 20;
-  OnlineScheduler sched(CostParams{}, machine, options);
-
+  auto sched = std::make_unique<OnlineScheduler>(CostParams{}, machine,
+                                                 options);
   Rng rng(7);
   WorkloadParams params;
-  std::vector<uint64_t> ids;
   double t = 0.0;
-  for (int i = 0; i < kQueries; ++i) {
+  for (int i = 0; i < kStreamQueries; ++i) {
     params.num_joins = 4 + i % 7;
     auto q = GenerateQuery(params, &rng);
     EXPECT_TRUE(q.ok()) << q.status().ToString();
     t += -std::log(1.0 - rng.UniformDouble()) * 1500.0;
-    ids.push_back(sched.Submit(*q->plan, t));  // reads the plan only here
+    ids->push_back(sched->Submit(*q->plan, t));  // reads the plan only here
   }
-  EXPECT_TRUE(sched.Drain().ok());
-  EXPECT_TRUE(sched.CheckInvariants().ok());
+  EXPECT_TRUE(sched->Drain().ok());
+  EXPECT_TRUE(sched->CheckInvariants().ok());
+  return sched;
+}
+
+/// Digest of the contended FIFO replay, hashing every query's admit and
+/// finish instants, phase timings (all "%a", so bit-exact) and clone
+/// sites.
+uint64_t ContendedStreamDigest() {
+  MetricsRegistry metrics;
+  std::vector<uint64_t> ids;
+  auto sched = ReplayContendedStream(AdmissionPolicy::kFifo, &metrics, &ids);
 
   uint64_t h = 14695981039346656037ull;
   char buf[256];
   int overlapped = 0, stretched = 0;
   double prev_finish = 0.0;
   for (const uint64_t id : ids) {
-    const OnlineQueryResult* r = sched.result(id);
+    const OnlineQueryResult* r = sched->result(id);
     EXPECT_EQ(r->state, OnlineQueryState::kDone);
     if (r->admit_ms < prev_finish) ++overlapped;
     prev_finish = r->finish_ms;
@@ -725,22 +650,158 @@ uint64_t ContendedStreamDigest(OnlineEngine engine) {
     }
   }
   // The stream must exercise what the digest pins: overlapping queries
-  // and, for the phased engine, phases stretched by co-resident clones.
-  EXPECT_GT(overlapped, kQueries / 2);
-  if (engine == OnlineEngine::kTree) {
-    EXPECT_GT(stretched, 0);
-  }
+  // and phases stretched by co-resident clones.
+  EXPECT_GT(overlapped, kStreamQueries / 2);
+  EXPECT_GT(stretched, 0);
   return h;
 }
 
 TEST(OnlineSchedulerTest, ContendedStreamMatchesParent) {
   // Pinned to the union-schedule + fluid-simulation projection the closed
   // form replaced: every admit, finish, timing and clone site of a
-  // contended stream is bit-identical to it, for both engines.
-  EXPECT_EQ(ContendedStreamDigest(OnlineEngine::kTree),
-            11920391197381607243ull);
-  EXPECT_EQ(ContendedStreamDigest(OnlineEngine::kList),
-            15195757234370626615ull);
+  // contended stream is bit-identical to it.
+  EXPECT_EQ(ContendedStreamDigest(), 11920391197381607243ull);
+}
+
+TEST(OnlineSchedulerTest, ShortestMakespanFirstStreamMatchesParent) {
+  // The contended stream under shortest-makespan-first: the admit order,
+  // admit/finish instants and idle-machine estimates are pinned to the
+  // scheduler that computed the estimate for every policy.
+  MetricsRegistry metrics;
+  std::vector<uint64_t> ids;
+  auto sched = ReplayContendedStream(AdmissionPolicy::kShortestMakespanFirst,
+                                     &metrics, &ids);
+  std::vector<const OnlineQueryResult*> by_admit;
+  int queued = 0, overtakes = 0;
+  double latest_admit = -1.0;
+  for (const uint64_t id : ids) {
+    const OnlineQueryResult* r = sched->result(id);
+    ASSERT_EQ(r->state, OnlineQueryState::kDone);
+    if (r->admit_ms > r->arrival_ms) ++queued;
+    // An earlier arrival admitted later than this query: overtaken.
+    if (r->admit_ms < latest_admit) ++overtakes;
+    latest_admit = std::max(latest_admit, r->admit_ms);
+    by_admit.push_back(r);
+  }
+  std::stable_sort(by_admit.begin(), by_admit.end(),
+                   [](const OnlineQueryResult* a, const OnlineQueryResult* b) {
+                     return a->admit_ms < b->admit_ms;
+                   });
+  uint64_t h = 14695981039346656037ull;
+  char buf[256];
+  for (const OnlineQueryResult* r : by_admit) {
+    std::snprintf(buf, sizeof(buf), "q%llu %a %a %a\n",
+                  static_cast<unsigned long long>(r->id), r->admit_ms,
+                  r->finish_ms, r->expected_makespan_ms);
+    Fnv1a(buf, &h);
+  }
+  EXPECT_GT(queued, kStreamQueries / 2);
+  EXPECT_GT(overtakes, 0);
+  EXPECT_EQ(h, 7594940851186997543ull);
+}
+
+TEST(OnlineSchedulerTest, ShortestMakespanFirstEstimateIsTheIdleResponseTime) {
+  // Under shortest-makespan-first a queued query carries the idle-machine
+  // TREESCHEDULE response time, and running alone it achieves exactly that.
+  PlanFixture fa = SingleJoinFixture(5000, 2500);
+  PlanFixture fb = BushyFourWayFixture();
+  MachineConfig machine;
+  const TreeScheduleResult offline = OfflineSchedule(fb, machine);
+
+  MetricsRegistry metrics;
+  OnlineSchedulerOptions options;
+  options.metrics = &metrics;
+  options.admission.max_in_flight = 1;
+  options.admission.policy = AdmissionPolicy::kShortestMakespanFirst;
+  OnlineScheduler sched(CostParams{}, machine, options);
+  sched.Submit(*fa.plan, 0.0);
+  const uint64_t b = sched.Submit(*fb.plan, 1.0);
+  const OnlineQueryResult* rb = sched.result(b);
+  ASSERT_EQ(rb->state, OnlineQueryState::kQueued);
+  EXPECT_EQ(rb->expected_makespan_ms, offline.response_time);
+  ASSERT_TRUE(sched.Drain().ok());
+  ASSERT_EQ(rb->state, OnlineQueryState::kDone);
+  EXPECT_GT(rb->admit_ms, rb->arrival_ms);
+  EXPECT_EQ(rb->schedule.response_time, offline.response_time);
+  EXPECT_EQ(rb->finish_ms - rb->admit_ms, rb->expected_makespan_ms);
+}
+
+TEST(OnlineSchedulerTest, PreparedSubmitLeavesThePlacedPhasesOnlyHits) {
+  // Under FIFO, Submit prepares every placement-free parallelization, so
+  // placing the phases later (queued queries' and the admitted one's
+  // phases after the first) misses the shared cache nowhere. Sorts and
+  // aggregates add rooted merge and emit operators.
+  for (const BuildDegreePolicy policy :
+       {BuildDegreePolicy::kJoinAware, BuildDegreePolicy::kBuildOnly}) {
+    MachineConfig machine;
+    MetricsRegistry metrics;
+    OnlineSchedulerOptions options;
+    options.metrics = &metrics;
+    options.tree.build_degree = policy;
+    options.admission.max_in_flight = 1;
+    options.admission.max_queue_depth = 1 << 20;
+    OnlineScheduler sched(CostParams{}, machine, options);
+    Rng rng(11);
+    WorkloadParams params;
+    params.sort_probability = 0.3;
+    params.aggregate_probability = 0.3;
+    for (int i = 0; i < 12; ++i) {
+      params.num_joins = 2 + i % 6;
+      auto q = GenerateQuery(params, &rng);
+      ASSERT_TRUE(q.ok()) << q.status().ToString();
+      sched.Submit(*q->plan, 0.0);
+    }
+    EXPECT_EQ(sched.queue_depth(), 11);
+    const uint64_t misses =
+        metrics.Snapshot().CounterValue("parallelize_cache.misses");
+    EXPECT_GT(misses, 0u);
+    ASSERT_TRUE(sched.Drain().ok());
+    EXPECT_EQ(metrics.Snapshot().CounterValue("parallelize_cache.misses"),
+              misses);
+    EXPECT_EQ(metrics.Snapshot().CounterValue("online.admitted"), 12u);
+  }
+}
+
+TEST(OnlineSchedulerTest, PlanningFailureIsRejectedBeforeAdmission) {
+  // A query the planner cannot schedule is rejected at Submit with the
+  // planner's own status: it is never admitted, so it takes no slot and
+  // moves no admission counter.
+  PlanFixture fx = SingleJoinFixture(5000, 2500);
+  struct Case {
+    int num_sites;
+    double granularity;
+    bool use_cost_cache;
+    const char* message;
+  };
+  const Case cases[] = {
+      {0, 0.7, true, "MachineConfig.num_sites must be >= 1, got 0"},
+      {16, -1.0, true, "granularity parameter f must be >= 0"},
+      {16, -1.0, false, "granularity parameter f must be >= 0"},
+  };
+  for (const Case& c : cases) {
+    MachineConfig machine;
+    machine.num_sites = c.num_sites;
+    MetricsRegistry metrics;
+    OnlineSchedulerOptions options;
+    options.metrics = &metrics;
+    options.tree.granularity = c.granularity;
+    options.use_cost_cache = c.use_cost_cache;
+    OnlineScheduler sched(CostParams{}, machine, options);
+    const uint64_t id = sched.Submit(*fx.plan, 0.0);
+    const OnlineQueryResult* r = sched.result(id);
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->state, OnlineQueryState::kRejected) << c.message;
+    EXPECT_EQ(r->status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(r->status.message(), c.message);
+    EXPECT_EQ(r->admit_ms, -1.0);
+    EXPECT_TRUE(r->schedule.phases.empty());
+    EXPECT_EQ(sched.in_flight(), 0);
+    EXPECT_TRUE(sched.CheckInvariants().ok());
+    ASSERT_TRUE(sched.Drain().ok());
+    const MetricsSnapshot snap = metrics.Snapshot();
+    EXPECT_EQ(snap.CounterValue("online.admitted"), 0u);
+    EXPECT_EQ(snap.CounterValue("online.rejected"), 1u);
+  }
 }
 
 TEST(OnlineQueryStateTest, Names) {
