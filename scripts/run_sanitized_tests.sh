@@ -17,9 +17,10 @@
 # row queues between co-resident clones are new happens-before edges —
 # dedicated producer/consumer threads synchronizing through RowQueue's
 # mutex/condvars — that the pool-only paths never exercised.
-# mrs_slow_tests is built too, so the optimizer differential suite (the
-# multi-threaded DP/slice search racing over the shared parallelize
-# cache) runs under both sanitizers as well.
+# mrs_slow_tests is built too, so the optimizer differential suite runs
+# under both sanitizers as well: the multi-threaded DP, the frontier
+# workers claiming bound units and the batch workers claiming plans from
+# shared atomic indexes, all racing over the shared parallelize cache.
 #
 # The server suites (Framing/SchedServer/Reactor*) matter most under
 # TSan: the epoll front-end's cross-thread seams are all eventfd- or

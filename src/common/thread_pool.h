@@ -29,7 +29,11 @@ namespace mrs {
 ///    a task's execution site is a pure function of its submission index.
 ///    Batch-scheduler determinism does not depend on this (results are
 ///    keyed by item index), but it keeps contention low and behavior easy
-///    to reason about.
+///    to reason about. The flip side: a long task holds every task dealt
+///    behind it on its shard while other workers idle. Callers with
+///    unequal work items should submit one job per worker and let the
+///    jobs claim items from a shared atomic index, as the join-order
+///    optimizer does (src/optimizer/optimizer.cc, ClaimAll).
 ///  * **Exception propagation.** The mrs library itself never throws, but
 ///    user tasks may. The first exception thrown by any task is captured
 ///    and rethrown from `WaitAll`; subsequent tasks still run.

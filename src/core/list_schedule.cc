@@ -90,8 +90,7 @@ ListScheduleResult AlignedFallback(const TreeScheduleResult& tree,
 }
 
 /// The greedy virtual-time event loop (steps 1-4 of the header comment),
-/// without either guard. `external` is the resolved external base load
-/// (from either ListScheduleOptions field); `pipeline` enables the
+/// without either guard. `pipeline` enables the
 /// rate-matched, stage-ordered round described at
 /// ListScheduleOptions::pipeline; `trace` is the sink for round spans
 /// (null for the shadow baseline runs the guards make).
@@ -99,9 +98,8 @@ Result<ListScheduleResult> GreedyListSchedule(
     const OperatorTree& op_tree, const TaskTree& task_tree,
     const std::vector<OperatorCost>& costs, const CostParams& params,
     const MachineConfig& config, const OverlapUsageModel& usage,
-    const ListScheduleOptions& options,
-    const std::vector<WorkVector>* external, bool pipeline,
-    TraceSink* trace) {
+    const ListScheduleOptions& options, bool pipeline, TraceSink* trace) {
+  const std::vector<WorkVector>* external = options.list_options.base_load;
   // Parallelization entry points, memoized when a cache is supplied
   // (identical to TREESCHEDULE's, so the two engines pick the same
   // degrees for the same readiness sets).
@@ -441,14 +439,12 @@ Status ApplyTreeGuard(const OperatorTree& op_tree, const TaskTree& task_tree,
                       const CostParams& params, const MachineConfig& config,
                       const OverlapUsageModel& usage,
                       const ListScheduleOptions& options,
-                      const std::vector<WorkVector>* external,
                       ListScheduleResult* result) {
   TreeScheduleOptions tree_options;
   tree_options.granularity = options.granularity;
   tree_options.policy = options.policy;
   tree_options.build_degree = options.build_degree;
   tree_options.list_options = options.list_options;
-  tree_options.list_options.base_load = external;
   tree_options.cache = options.cache;
   auto tree = TreeSchedule(op_tree, task_tree, costs, params, config, usage,
                            tree_options);
@@ -501,18 +497,7 @@ Result<ListScheduleResult> ListSchedule(const OperatorTree& op_tree,
   if (task_tree.num_tasks() == 0) {
     return Status::InvalidArgument("task tree has no tasks to schedule");
   }
-  // Resolve the external base load: either field carries it, both is an
-  // error (they would silently shadow each other — the footgun this
-  // check replaces).
-  if (options.base_load != nullptr &&
-      options.list_options.base_load != nullptr) {
-    return Status::InvalidArgument(
-        "both ListScheduleOptions::base_load and list_options.base_load are "
-        "set; thread the external load through exactly one of them");
-  }
-  const std::vector<WorkVector>* external =
-      options.base_load != nullptr ? options.base_load
-                                   : options.list_options.base_load;
+  const std::vector<WorkVector>* external = options.list_options.base_load;
   if (external != nullptr) {
     if (static_cast<int>(external->size()) != config.num_sites) {
       return Status::InvalidArgument(
@@ -534,18 +519,18 @@ Result<ListScheduleResult> ListSchedule(const OperatorTree& op_tree,
   ListScheduleResult result;
   if (!options.pipeline) {
     auto plain = GreedyListSchedule(op_tree, task_tree, costs, params, config,
-                                    usage, options, external,
+                                    usage, options,
                                     /*pipeline=*/false, trace);
     if (!plain.ok()) return plain.status();
     result = std::move(plain).value();
     if (options.tree_guard) {
       MRS_RETURN_IF_ERROR(ApplyTreeGuard(op_tree, task_tree, costs, params,
-                                         config, usage, options, external,
+                                         config, usage, options,
                                          &result));
     }
   } else {
     auto piped = GreedyListSchedule(op_tree, task_tree, costs, params, config,
-                                    usage, options, external,
+                                    usage, options,
                                     /*pipeline=*/true, trace);
     if (!piped.ok()) return piped.status();
     result = std::move(piped).value();
@@ -554,13 +539,13 @@ Result<ListScheduleResult> ListSchedule(const OperatorTree& op_tree,
       // Shadow task-wave baseline (untraced, itself tree-guarded when
       // tree_guard is on): the LIST side of PIPELINED <= LIST <= TREE.
       auto plain = GreedyListSchedule(op_tree, task_tree, costs, params,
-                                      config, usage, options, external,
+                                      config, usage, options,
                                       /*pipeline=*/false, /*trace=*/nullptr);
       if (!plain.ok()) return plain.status();
       ListScheduleResult baseline = std::move(plain).value();
       if (options.tree_guard) {
         MRS_RETURN_IF_ERROR(ApplyTreeGuard(op_tree, task_tree, costs, params,
-                                           config, usage, options, external,
+                                           config, usage, options,
                                            &baseline));
       }
       result.tree_response_time = baseline.tree_response_time;
@@ -573,7 +558,7 @@ Result<ListScheduleResult> ListSchedule(const OperatorTree& op_tree,
       }
     } else if (options.tree_guard) {
       MRS_RETURN_IF_ERROR(ApplyTreeGuard(op_tree, task_tree, costs, params,
-                                         config, usage, options, external,
+                                         config, usage, options,
                                          &result));
     }
   }

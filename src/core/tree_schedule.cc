@@ -293,7 +293,7 @@ Result<PhaseSchedule> PhasePlanner::NextPhase(
   OperatorScheduleOptions list_options = options_.list_options;
   // A per-call base load (the online scheduler's phase-instant residual)
   // overrides a static one carried in the options (the list engine's
-  // tree_guard threading ListScheduleOptions::base_load through).
+  // tree_guard threading list_options.base_load through).
   if (base_load != nullptr) list_options.base_load = base_load;
   if (sched_span.active()) {
     // Which site-selection engine ran (see OperatorScheduleOptions::

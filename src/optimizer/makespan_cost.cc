@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/str_util.h"
-#include "core/opt_bound.h"
 #include "cost/parallelize.h"
 
 namespace mrs {
@@ -83,24 +82,22 @@ Result<PreparedPlan> MakespanCostFn::Prepare(const PlanTree& plan) const {
   return p;
 }
 
-Result<double> MakespanCostFn::LowerBound(const PreparedPlan& p,
-                                          uint64_t relations_mask) const {
-  MRS_ASSIGN_OR_RETURN(
-      OptBoundResult ob,
-      OptBound(p.ops, p.tasks, p.costs, params_, usage_,
-               options_.granularity, machine_.num_sites));
+double MakespanCostFn::LowerBound(const PreparedPlan& p,
+                                  uint64_t relations_mask) const {
   const double sites = static_cast<double>(machine_.num_sites);
   // Work bound over the *whole* query: the subplan's own processing plus
   // the scan work of every relation it does not cover — work any
   // completion of this subplan must still perform. l(.) is subadditive
   // and every site's time is at least the length of its load, so this
-  // holds for any schedule under either engine.
+  // holds for any schedule under either engine. It subsumes OPTBOUND's
+  // work bound bit for bit: total_processing is summed in the same order,
+  // the uncovered scans only add non-negative terms, and Length is a max.
   WorkVector total = p.total_processing;
   for (int r = 0; r < catalog_->num_relations(); ++r) {
     if ((relations_mask >> r) & 1) continue;
     total += scan_work_[static_cast<size_t>(r)];
   }
-  double bound = std::max(ob.work_bound, total.Length() / sites);
+  double bound = total.Length() / sites;
 
   // Per-operator floor: an operator runs at *some* degree N in [1, P] and
   // lasts at least T_par(op, N) >= min_n T_par(op, n); T_par is unimodal,

@@ -76,7 +76,8 @@ struct SubplanBound {
 
 /// The optimizer's cost function: the scheduler's own makespan, plus a
 /// lower bound used to prune partial plans before a full schedule is
-/// paid (the packing term comes from OPTBOUND; see src/core/opt_bound.h).
+/// paid. The bound keeps OPTBOUND's packing idea (src/core/opt_bound.h)
+/// but computes it itself, over the whole query's work.
 ///
 /// The lower bound is sound for *partial* plans (subplans over a relation
 /// subset) because every term is monotone under embedding into any
@@ -111,8 +112,7 @@ class MakespanCostFn {
   /// subplan. `relations_mask` holds the catalog relation ids `p` covers
   /// (bit r = relation r); scan work of the relations outside the mask is
   /// folded into the work bound.
-  Result<double> LowerBound(const PreparedPlan& p,
-                            uint64_t relations_mask) const;
+  double LowerBound(const PreparedPlan& p, uint64_t relations_mask) const;
 
   /// The scheduled makespan of a complete plan under the configured
   /// engine. Deterministic: equal inputs give bit-equal results, with or

@@ -1,7 +1,9 @@
 #include "optimizer/optimizer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -101,17 +103,91 @@ struct SubsetOutcome {
   uint64_t pruned = 0;
 };
 
-/// Result slot of one root-slice job.
-struct SliceOutcome {
-  Status status;
+/// A complete plan that passed the tier-1 bound: that bound and the plan
+/// id, from which DecodePlanId recovers the root refs. 16 bytes, so even
+/// the exhaustive frontier of a J=8 chain (366,080 plans) stays under
+/// 6 MB.
+struct FrontierEntry {
+  double bound = 0.0;
+  uint64_t plan_id = 0;
+};
+static_assert(sizeof(FrontierEntry) == 16);
+
+/// Combinations per frontier work unit, and complete plans per pricing
+/// batch. Both are fixed, never derived from the thread count, so the
+/// frontier, the batch boundaries and every counter are the same for any
+/// num_threads.
+constexpr uint64_t kFrontierUnit = 256;
+constexpr size_t kBatchSize = 16;
+
+/// A run of one root slice's combination counters [begin, end).
+struct FrontierUnit {
+  int slice = 0;
+  uint64_t begin = 0;
+  uint64_t end = 0;
+};
+
+/// The root join of a complete plan: outer feeds the probe, inner the
+/// build.
+struct RootRefs {
+  PlanEnumerator::CandidateRef outer;
+  PlanEnumerator::CandidateRef inner;
+};
+
+/// Inverts the plan-id numbering: a slice's counter walks outer
+/// candidates, then inner candidates, then the two build-side
+/// orientations.
+RootRefs DecodePlanId(const PlanEnumerator& enumerator, uint64_t plan_id) {
+  const PlanEnumerator::RootSlice& slice =
+      enumerator.root_slices()[static_cast<size_t>(plan_id >> kSliceShift)];
+  const uint64_t counter = plan_id & ((uint64_t{1} << kSliceShift) - 1);
+  const uint64_t num_inner =
+      enumerator.candidates(slice.inner_subset).size();
+  const uint64_t pair = counter >> 1;
+  RootRefs refs{{slice.outer_subset, static_cast<int>(pair / num_inner)},
+                {slice.inner_subset, static_cast<int>(pair % num_inner)}};
+  if ((counter & 1) != 0) std::swap(refs.outer, refs.inner);
+  return refs;
+}
+
+/// Runs work(worker, i) for every i in [0, n). Each pool job claims the
+/// next index from a shared counter, so one long item never holds a
+/// queue of others behind it (the pool deals whole jobs round-robin and
+/// never steals). `worker` < pool.num_threads() names the job, for
+/// per-job result slots.
+template <typename Fn>
+void ClaimAll(ThreadPool& pool, size_t n, const Fn& work) {
+  const size_t workers =
+      std::min(static_cast<size_t>(pool.num_threads()), n);
+  std::atomic<size_t> next{0};
+  for (size_t w = 0; w < workers; ++w) {
+    pool.Submit([&, w] {
+      for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+           i = next.fetch_add(1, std::memory_order_relaxed)) {
+        work(w, i);
+      }
+    });
+  }
+  pool.WaitAll();
+}
+
+/// One pricing worker's share of a batch.
+struct BatchOutcome {
+  Status status;  ///< the error at the lowest batch position, if any
+  size_t error_pos = ~size_t{0};
+  uint64_t scheduled = 0;
   bool has_best = false;
   double best_makespan = 0.0;
   uint64_t best_id = 0;
-  PlanEnumerator::CandidateRef best_outer;
-  PlanEnumerator::CandidateRef best_inner;
-  uint64_t considered = 0;
-  uint64_t scheduled = 0;
-  uint64_t pruned = 0;
+
+  void Offer(double makespan, uint64_t id) {
+    if (!has_best || makespan < best_makespan ||
+        (makespan == best_makespan && id < best_id)) {
+      has_best = true;
+      best_makespan = makespan;
+      best_id = id;
+    }
+  }
 };
 
 }  // namespace
@@ -302,121 +378,159 @@ Result<OptimizeResult> OptimizeJoinOrder(const Catalog& catalog,
     }
   }
 
-  // Stage 3: price complete plans slice by slice (one root partition per
-  // job), each slice keeping a local incumbent seeded from the greedy
-  // makespan. Plan ids count every combination before pruning, so they are
-  // comparable between pruned and exhaustive runs.
-  std::vector<SliceOutcome> slices(enumerator.root_slices().size());
+  // Stage 3: the frontier. Every complete combination gets a plan id —
+  // (slice << kSliceShift) | slice-local counter, counted before pruning
+  // so ids are comparable between pruned and exhaustive runs — and, with
+  // pruning on, its O(1) tier-1 bound. Combinations whose bound exceeds
+  // the seed can never win and are dropped. The work is cut into
+  // fixed-size units that workers claim one at a time, so no root slice
+  // is a single job.
+  SpanTimer search_span(options.trace, "opt_search");
+  const std::vector<PlanEnumerator::RootSlice>& root_slices =
+      enumerator.root_slices();
+  std::vector<FrontierUnit> units;
+  for (int si = 0; si < static_cast<int>(root_slices.size()); ++si) {
+    const PlanEnumerator::RootSlice& slice =
+        root_slices[static_cast<size_t>(si)];
+    const uint64_t combos =
+        2 * enumerator.candidates(slice.outer_subset).size() *
+        enumerator.candidates(slice.inner_subset).size();
+    result.stats.plans_considered += combos;
+    for (uint64_t begin = 0; begin < combos; begin += kFrontierUnit) {
+      units.push_back({si, begin, std::min(combos, begin + kFrontierUnit)});
+    }
+  }
+  std::vector<FrontierEntry> frontier;
   {
-    SpanTimer span(options.trace, "opt_search");
-    for (int si = 0; si < static_cast<int>(slices.size()); ++si) {
-      pool.Submit([&, si] {
-        const PlanEnumerator::RootSlice& slice =
-            enumerator.root_slices()[static_cast<size_t>(si)];
-        SliceOutcome& out = slices[static_cast<size_t>(si)];
-        const auto& outer_cands = enumerator.candidates(slice.outer_subset);
-        const auto& inner_cands = enumerator.candidates(slice.inner_subset);
-        double incumbent = seed_makespan;
-        uint64_t counter = 0;
-        for (int i = 0; i < static_cast<int>(outer_cands.size()); ++i) {
-          for (int j = 0; j < static_cast<int>(inner_cands.size()); ++j) {
-            for (int orient = 0; orient < 2; ++orient) {
-              const uint64_t id =
-                  (static_cast<uint64_t>(si) << kSliceShift) | counter;
-              ++counter;
-              ++out.considered;
-              PlanEnumerator::CandidateRef outer{slice.outer_subset, i};
-              PlanEnumerator::CandidateRef inner{slice.inner_subset, j};
-              if (orient == 1) std::swap(outer, inner);
-              if (options.prune) {
-                // Tier 1: the O(1) compositional bound — no plan is
-                // materialized, no operator tree costed.
-                Result<SubplanBound> rb = cost_fn.CombineBound(
-                    bounds[static_cast<size_t>(outer.subset)]
-                          [static_cast<size_t>(outer.idx)],
-                    bounds[static_cast<size_t>(inner.subset)]
-                          [static_cast<size_t>(inner.idx)]);
-                if (!rb.ok()) {
-                  out.status = rb.status();
-                  return;
-                }
-                if (cost_fn.CheapLowerBound(*rb, full_mask) > incumbent) {
-                  ++out.pruned;
-                  continue;
-                }
-              }
-              Result<PlanTree> plan =
-                  enumerator.BuildRootPlan(&catalog, outer, inner);
-              if (!plan.ok()) {
-                out.status = plan.status();
-                return;
-              }
-              Result<PreparedPlan> prepared = cost_fn.Prepare(*plan);
-              if (!prepared.ok()) {
-                out.status = prepared.status();
-                return;
-              }
-              if (options.prune) {
-                // Tier 2: the full prepared-plan bound (exact in-context
-                // costs plus the phase-sum term) before a schedule is
-                // paid.
-                Result<double> lb = cost_fn.LowerBound(*prepared, full_mask);
-                if (!lb.ok()) {
-                  out.status = lb.status();
-                  return;
-                }
-                if (*lb > incumbent) {
-                  ++out.pruned;
-                  continue;
-                }
-              }
-              Result<double> makespan = cost_fn.Makespan(*prepared);
-              if (!makespan.ok()) {
-                out.status = makespan.status();
-                return;
-              }
-              ++out.scheduled;
-              const double ms = *makespan;
-              if (ms < incumbent) incumbent = ms;
-              if (!out.has_best || ms < out.best_makespan ||
-                  (ms == out.best_makespan && id < out.best_id)) {
-                out.has_best = true;
-                out.best_makespan = ms;
-                out.best_id = id;
-                out.best_outer = outer;
-                out.best_inner = inner;
-              }
-            }
-          }
+    std::vector<Status> unit_status(units.size());
+    std::vector<std::vector<FrontierEntry>> shards(
+        static_cast<size_t>(pool.num_threads()));
+    ClaimAll(pool, units.size(), [&](size_t w, size_t u) {
+      const FrontierUnit& unit = units[u];
+      std::vector<FrontierEntry>& shard = shards[w];
+      const uint64_t slice_bits = static_cast<uint64_t>(unit.slice)
+                                  << kSliceShift;
+      for (uint64_t c = unit.begin; c < unit.end; ++c) {
+        const uint64_t id = slice_bits | c;
+        if (!options.prune) {
+          shard.push_back({0.0, id});
+          continue;
         }
-      });
+        const RootRefs refs = DecodePlanId(enumerator, id);
+        Result<SubplanBound> rb = cost_fn.CombineBound(
+            bounds[static_cast<size_t>(refs.outer.subset)]
+                  [static_cast<size_t>(refs.outer.idx)],
+            bounds[static_cast<size_t>(refs.inner.subset)]
+                  [static_cast<size_t>(refs.inner.idx)]);
+        if (!rb.ok()) {
+          unit_status[u] = rb.status();
+          return;
+        }
+        const double bound = cost_fn.CheapLowerBound(*rb, full_mask);
+        if (bound <= seed_makespan) shard.push_back({bound, id});
+      }
+    });
+    for (const Status& status : unit_status) MRS_RETURN_IF_ERROR(status);
+    frontier = std::move(shards[0]);
+    for (size_t w = 1; w < shards.size(); ++w) {
+      frontier.insert(frontier.end(), shards[w].begin(), shards[w].end());
+      std::vector<FrontierEntry>().swap(shards[w]);
     }
-    pool.WaitAll();
-    if (span.active()) {
-      span.AttrInt("slices", static_cast<int64_t>(slices.size()));
-    }
+    // Plan ids are unique, so this order is total: the frontier is the
+    // same whichever worker found which entry.
+    std::sort(frontier.begin(), frontier.end(),
+              [](const FrontierEntry& a, const FrontierEntry& b) {
+                return a.bound < b.bound ||
+                       (a.bound == b.bound && a.plan_id < b.plan_id);
+              });
   }
 
-  // Stage 4: deterministic merge — errors by slice order, then argmin by
-  // (makespan, plan id).
-  int best_slice = -1;
-  for (int si = 0; si < static_cast<int>(slices.size()); ++si) {
-    const SliceOutcome& out = slices[static_cast<size_t>(si)];
-    MRS_RETURN_IF_ERROR(out.status);
-    result.stats.plans_considered += out.considered;
-    result.stats.plans_scheduled += out.scheduled;
-    result.stats.plans_pruned += out.pruned;
-    if (!out.has_best) continue;
-    if (best_slice < 0 ||
-        out.best_makespan <
-            slices[static_cast<size_t>(best_slice)].best_makespan ||
-        (out.best_makespan ==
-             slices[static_cast<size_t>(best_slice)].best_makespan &&
-         out.best_id < slices[static_cast<size_t>(best_slice)].best_id)) {
-      best_slice = si;
+  // The makespan of plan `id`, or nullopt when tier 2 bounds it above
+  // `limit`.
+  auto price = [&](uint64_t id,
+                   double limit) -> Result<std::optional<double>> {
+    const RootRefs refs = DecodePlanId(enumerator, id);
+    MRS_ASSIGN_OR_RETURN(
+        PlanTree plan,
+        enumerator.BuildRootPlan(&catalog, refs.outer, refs.inner));
+    MRS_ASSIGN_OR_RETURN(PreparedPlan prepared, cost_fn.Prepare(plan));
+    if (options.prune && cost_fn.LowerBound(prepared, full_mask) > limit) {
+      return std::optional<double>();
+    }
+    MRS_ASSIGN_OR_RETURN(double makespan, cost_fn.Makespan(prepared));
+    return std::optional<double>(makespan);
+  };
+
+  // Stage 4: price the frontier best-first in fixed-size batches. Every
+  // plan of a batch is gated against the incumbent as it stood when the
+  // batch began — tier 2, the full prepared-plan bound, then the
+  // scheduler — and the incumbent only drops between batches, so what is
+  // scheduled never depends on thread timing. The search stops at the
+  // first tier-1 bound above the incumbent: the frontier is sorted, so
+  // every later plan is bounded out too. Pruning is strict, so every plan
+  // whose makespan ties the optimum is scheduled, and the argmin by
+  // (makespan, plan_id) is the exhaustive search's. With pruning off the
+  // incumbent is never read and the whole frontier is one batch.
+  BatchOutcome best;
+  {
+    const size_t batch_size = options.prune ? kBatchSize : frontier.size();
+    std::vector<BatchOutcome> outcomes(static_cast<size_t>(pool.num_threads()));
+    double incumbent = seed_makespan;
+    int64_t batches = 0;
+    size_t pos = 0;
+    while (pos < frontier.size()) {
+      size_t end = std::min(frontier.size(), pos + batch_size);
+      if (options.prune) {
+        end = static_cast<size_t>(
+            std::partition_point(frontier.begin() + pos,
+                                 frontier.begin() + end,
+                                 [&](const FrontierEntry& e) {
+                                   return e.bound <= incumbent;
+                                 }) -
+            frontier.begin());
+        if (end == pos) break;
+      }
+      std::fill(outcomes.begin(), outcomes.end(), BatchOutcome{});
+      const double limit = incumbent;
+      ClaimAll(pool, end - pos, [&](size_t w, size_t k) {
+        const uint64_t id = frontier[pos + k].plan_id;
+        BatchOutcome& out = outcomes[w];
+        Result<std::optional<double>> priced = price(id, limit);
+        if (!priced.ok()) {
+          if (k < out.error_pos) {
+            out.error_pos = k;
+            out.status = priced.status();
+          }
+        } else if (priced->has_value()) {
+          ++out.scheduled;
+          out.Offer(**priced, id);
+        }
+      });
+      const BatchOutcome* error = nullptr;
+      for (const BatchOutcome& out : outcomes) {
+        if (!out.status.ok() &&
+            (error == nullptr || out.error_pos < error->error_pos)) {
+          error = &out;
+        }
+        result.stats.plans_scheduled += out.scheduled;
+        if (out.has_best) best.Offer(out.best_makespan, out.best_id);
+      }
+      if (error != nullptr) return error->status;
+      if (best.has_best) incumbent = std::min(incumbent, best.best_makespan);
+      ++batches;
+      pos = end;
+    }
+    if (search_span.active()) {
+      search_span.AttrInt("slices", static_cast<int64_t>(root_slices.size()));
+      search_span.AttrInt("frontier", static_cast<int64_t>(frontier.size()));
+      search_span.AttrInt("batches", batches);
     }
   }
-  if (best_slice < 0) {
+  search_span.End();
+  result.stats.plans_pruned =
+      result.stats.plans_considered - result.stats.plans_scheduled;
+
+  if (!best.has_best) {
     // Every combination was pruned — possible only through floating-point
     // corner cases, since the greedy plan itself passes the bound checks.
     // Fall back to the seed plan, deterministically.
@@ -426,14 +540,13 @@ Result<OptimizeResult> OptimizeJoinOrder(const Catalog& catalog,
     result.makespan = seed_makespan;
     result.plan_id = ~uint64_t{0};
   } else {
-    const SliceOutcome& winner = slices[static_cast<size_t>(best_slice)];
+    const RootRefs refs = DecodePlanId(enumerator, best.best_id);
     MRS_ASSIGN_OR_RETURN(
         PlanTree plan,
-        enumerator.BuildRootPlan(&catalog, winner.best_outer,
-                                 winner.best_inner));
+        enumerator.BuildRootPlan(&catalog, refs.outer, refs.inner));
     result.plan = std::make_unique<PlanTree>(std::move(plan));
-    result.makespan = winner.best_makespan;
-    result.plan_id = winner.best_id;
+    result.makespan = best.best_makespan;
+    result.plan_id = best.best_id;
   }
 
   result.stats.cache_hits = cache.counter().hits();

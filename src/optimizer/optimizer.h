@@ -31,9 +31,11 @@ struct OptimizerOptions {
   /// Search worker threads (clamped to >= 1). The result is byte-identical
   /// across thread counts.
   int num_threads = 1;
-  /// Lower-bound pruning (OPTBOUND vs the greedy-seed incumbent). Pruning
-  /// never changes the returned makespan — only how many schedules are
-  /// paid. prune=false is the exhaustive baseline.
+  /// Lower-bound pruning: MakespanCostFn's bounds against an incumbent
+  /// that starts at the greedy seed's makespan and drops to the best
+  /// schedule found between pricing batches. Pruning never changes the
+  /// returned plan or makespan — only how many schedules are paid.
+  /// prune=false is the exhaustive baseline.
   bool prune = true;
   /// Hard cap on memoized subplan candidates; exceeding it fails with
   /// InvalidArgument ("plan space too large") instead of thrashing.
@@ -74,8 +76,8 @@ struct OptimizeResult {
   /// between pruned and exhaustive runs of the same graph. Ties in
   /// makespan resolve to the lowest id.
   uint64_t plan_id = 0;
-  /// Makespan of the greedy connectivity-ordered seed plan (the pruning
-  /// incumbent; always >= makespan).
+  /// Makespan of the greedy connectivity-ordered seed plan (the first
+  /// pruning incumbent; always >= makespan).
   double seed_makespan = 0.0;
   OptimizerStats stats;
 
@@ -103,16 +105,24 @@ struct OptimizeResult {
 ///      build blocking chain, including the scans the subplan does not
 ///      cover) already exceeds the seed — a *fixed* incumbent, so the
 ///      memo is identical for every thread count;
-///   3. complete plans are priced slice by slice (a slice = one connected
-///      root partition, Trummer & Koch's per-worker plan-space partition),
-///      each slice keeping a local incumbent and gating in two tiers: the
-///      compositional bound first (no plan materialized), then the full
-///      prepared-plan bound (MakespanCostFn::LowerBound) before the
-///      scheduler is paid;
-///   4. per-slice argmins merge deterministically by (makespan, plan_id).
+///   3. every complete plan (the root join of two memo candidates that
+///      split the relations along a root slice — a connected root
+///      partition, Trummer & Koch's plan-space partition) gets the
+///      compositional bound in O(1); those within the seed form the
+///      frontier, 16-byte (bound, plan_id) pairs sorted by (bound,
+///      plan_id). Workers claim fixed-size units of this work from an
+///      atomic index, so no slice is one long job;
+///   4. the frontier is priced best-first in fixed-size batches, workers
+///      claiming plans within a batch: the full prepared-plan bound
+///      (MakespanCostFn::LowerBound), then the scheduler, both gated by
+///      the incumbent as it stood when the batch began. The incumbent
+///      drops between batches, and the search stops at the first
+///      frontier bound above it. The argmin by (makespan, plan_id) is the
+///      winner.
 ///
-/// All candidate evaluation is pure, so the returned plan, makespan, and
-/// all non-cache counters are byte-identical across `num_threads`.
+/// All candidate evaluation is pure and no batch boundary depends on the
+/// thread count, so the returned plan, makespan, and all non-cache
+/// counters are byte-identical across `num_threads`.
 Result<OptimizeResult> OptimizeJoinOrder(const Catalog& catalog,
                                          const QueryGraph& graph,
                                          const CostParams& params,

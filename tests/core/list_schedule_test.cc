@@ -310,51 +310,41 @@ TEST(ListScheduleTest, SingleSiteMachineWorks) {
   for (const ParallelizedOp& op : list.ops) EXPECT_EQ(op.degree, 1);
 }
 
-// --- External base load: the two threading points agree and cannot be
-// set together. ---
+// --- External base load (list_options.base_load). ---
 
-TEST(ListScheduleTest, BaseLoadInBothFieldsIsRejected) {
+TEST(ListScheduleTest, ListOptionsBaseLoadIsValidatedAndHonored) {
+  // A zero load changes nothing; a real one moves clones off the busy
+  // sites; a load sized for another machine is rejected.
   PlanFixture fx = BushyFourWayFixture();
   MachineConfig machine = Machine(6);
   std::vector<WorkVector> load(
       static_cast<size_t>(machine.num_sites),
       WorkVector(static_cast<size_t>(machine.dims)));
   OverlapUsageModel usage(0.5);
-  ListScheduleOptions options;
-  options.base_load = &load;
-  options.list_options.base_load = &load;
-  auto result = ListSchedule(fx.op_tree, fx.task_tree, fx.costs, CostParams{},
-                             machine, usage, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-}
 
-TEST(ListScheduleTest, ListOptionsBaseLoadMatchesTopLevelBaseLoad) {
-  // list_options.base_load is honored identically to the top-level field:
-  // same placements, same makespan, byte-identical JSON.
-  PlanFixture fx = BushyFourWayFixture();
-  MachineConfig machine = Machine(6);
-  std::vector<WorkVector> load(
-      static_cast<size_t>(machine.num_sites),
-      WorkVector(static_cast<size_t>(machine.dims)));
+  auto plain = ListSchedule(fx.op_tree, fx.task_tree, fx.costs, CostParams{},
+                            machine, usage, ListScheduleOptions{});
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+
+  ListScheduleOptions options;
+  options.list_options.base_load = &load;
+  auto zero = ListSchedule(fx.op_tree, fx.task_tree, fx.costs, CostParams{},
+                           machine, usage, options);
+  ASSERT_TRUE(zero.ok()) << zero.status().ToString();
+  EXPECT_EQ(ListScheduleToJson(*zero), ListScheduleToJson(*plain));
+
   load[0] = WorkVector({50.0, 20.0, 10.0});
   load[1] = WorkVector({40.0, 25.0, 5.0});
-  OverlapUsageModel usage(0.5);
+  auto loaded = ListSchedule(fx.op_tree, fx.task_tree, fx.costs,
+                             CostParams{}, machine, usage, options);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_NE(ListScheduleToJson(*loaded), ListScheduleToJson(*plain));
 
-  ListScheduleOptions top;
-  top.base_load = &load;
-  auto via_top = ListSchedule(fx.op_tree, fx.task_tree, fx.costs, CostParams{},
-                              machine, usage, top);
-  ASSERT_TRUE(via_top.ok()) << via_top.status().ToString();
-
-  ListScheduleOptions nested;
-  nested.list_options.base_load = &load;
-  auto via_nested = ListSchedule(fx.op_tree, fx.task_tree, fx.costs,
-                                 CostParams{}, machine, usage, nested);
-  ASSERT_TRUE(via_nested.ok()) << via_nested.status().ToString();
-
-  EXPECT_EQ(ListScheduleToJson(*via_top), ListScheduleToJson(*via_nested));
-  EXPECT_DOUBLE_EQ(via_top->makespan, via_nested->makespan);
+  load.pop_back();
+  auto wrong = ListSchedule(fx.op_tree, fx.task_tree, fx.costs, CostParams{},
+                            machine, usage, options);
+  ASSERT_FALSE(wrong.ok());
+  EXPECT_EQ(wrong.status().code(), StatusCode::kInvalidArgument);
 }
 
 // --- Pipelined mode: rate matching + co-residency under the guard. ---

@@ -2,13 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "common/metrics.h"
+#include "common/rng.h"
+#include "optimizer/makespan_cost.h"
+#include "optimizer/plan_enumerator.h"
 #include "plan/query_graph.h"
 #include "test_util.h"
+#include "workload/generator.h"
 
 namespace mrs {
 namespace {
@@ -20,6 +26,9 @@ QueryGraph Chain(int n) {
   }
   return g;
 }
+
+/// Generator graphs per (seed, join count) in the best-first floor test.
+constexpr int kFloorGraphs = 16;
 
 std::vector<int64_t> ChainSizes(int n) {
   std::vector<int64_t> sizes;
@@ -203,6 +212,93 @@ TEST(OptimizerTest, TraceRecordsTheSearchPhases) {
   EXPECT_TRUE(saw_dp);
   EXPECT_TRUE(saw_search);
   EXPECT_TRUE(saw_whole);
+}
+
+
+/// The best-first floor of `graph`: the complete plans whose tier-1
+/// (CombineBound + CheapLowerBound) and tier-2 (LowerBound) bounds are
+/// both <= `optimum`. A search that only ever compares exact bounds with
+/// an incumbent >= the optimum must schedule at least these.
+uint64_t BestFirstFloor(const Catalog& catalog, const QueryGraph& graph,
+                        double optimum) {
+  auto enumerator = PlanEnumerator::Create(graph);
+  auto fn = MakespanCostFn::Create(&catalog, CostParams{}, MachineConfig{},
+                                   OverlapUsageModel(0.5),
+                                   MakespanCostOptions{});
+  EXPECT_TRUE(enumerator.ok() && fn.ok());
+  std::vector<std::vector<SubplanBound>> bounds(
+      static_cast<size_t>(enumerator->num_subsets()));
+  auto bound_of = [&](PlanEnumerator::CandidateRef ref) -> SubplanBound& {
+    return bounds[static_cast<size_t>(ref.subset)]
+                 [static_cast<size_t>(ref.idx)];
+  };
+  for (int id : enumerator->SubsetsOfSize(1)) {
+    const int r = std::countr_zero(enumerator->subset_mask(id));
+    bounds[static_cast<size_t>(id)].push_back(*fn->LeafBound(r));
+  }
+  const int n = enumerator->num_relations();
+  for (int size = 2; size < n; ++size) {
+    for (int id : enumerator->SubsetsOfSize(size)) {
+      enumerator->GenerateCandidates(
+          id, [&](const PlanEnumerator::Candidate& cand) {
+            bounds[static_cast<size_t>(id)].push_back(
+                *fn->CombineBound(bound_of(cand.outer), bound_of(cand.inner)));
+            return true;
+          });
+    }
+  }
+  const uint64_t full_mask = (uint64_t{1} << n) - 1;
+  uint64_t floor = 0;
+  for (const PlanEnumerator::RootSlice& slice : enumerator->root_slices()) {
+    const int outers =
+        static_cast<int>(enumerator->candidates(slice.outer_subset).size());
+    const int inners =
+        static_cast<int>(enumerator->candidates(slice.inner_subset).size());
+    for (int i = 0; i < outers; ++i) {
+      for (int j = 0; j < inners; ++j) {
+        for (int orient = 0; orient < 2; ++orient) {
+          PlanEnumerator::CandidateRef outer{slice.outer_subset, i};
+          PlanEnumerator::CandidateRef inner{slice.inner_subset, j};
+          if (orient == 1) std::swap(outer, inner);
+          auto root = fn->CombineBound(bound_of(outer), bound_of(inner));
+          if (fn->CheapLowerBound(*root, full_mask) > optimum) continue;
+          auto plan = enumerator->BuildRootPlan(&catalog, outer, inner);
+          auto prepared = fn->Prepare(*plan);
+          if (fn->LowerBound(*prepared, full_mask) > optimum) continue;
+          ++floor;
+        }
+      }
+    }
+  }
+  return floor;
+}
+
+TEST(OptimizerTest, SearchSchedulesNearTheBestFirstFloor) {
+  // Pricing plans in enumeration order from the greedy seed schedules
+  // about twice the floor; best-first batches come within 10% of it.
+  uint64_t scheduled = 0;
+  uint64_t floor = 0;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(seed);
+    for (int joins = 3; joins <= 5; ++joins) {
+      for (int g = 0; g < kFloorGraphs; ++g) {
+        WorkloadParams params;
+        params.num_joins = joins;
+        auto q = GenerateQuery(params, &rng);
+        ASSERT_TRUE(q.ok()) << q.status().ToString();
+        auto result = OptimizeJoinOrder(*q->catalog, *q->graph, CostParams{},
+                                        MachineConfig{},
+                                        OverlapUsageModel(0.5),
+                                        OptimizerOptions{});
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        scheduled += result->stats.plans_scheduled;
+        floor += BestFirstFloor(*q->catalog, *q->graph, result->makespan);
+      }
+    }
+  }
+  ASSERT_GT(floor, 0u);
+  EXPECT_LE(static_cast<double>(scheduled), 1.10 * static_cast<double>(floor))
+      << "scheduled " << scheduled << " vs floor " << floor;
 }
 
 }  // namespace
