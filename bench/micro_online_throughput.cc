@@ -1,11 +1,10 @@
 // Online service connection-scaling bench (real TCP; one JSON line per
 // run, collected by scripts/run_benches.sh into BENCH_server.json): holds
-// N idle connections against the chosen front-end engine while timing
-// requests on one active connection — the "can one replica hold 100k
-// sockets without hurting p99" axis of ROADMAP item 3.
+// N idle connections against the reactor front-end while timing requests
+// on one active connection — the "can one replica hold 100k sockets
+// without hurting p99" axis.
 //
-// Usage: micro_online_throughput --connections=N [--server=reactor|threaded]
-//                                [--requests=R]
+// Usage: micro_online_throughput --connections=N [--requests=R]
 
 #include <sys/resource.h>
 #include <sys/wait.h>
@@ -147,7 +146,7 @@ bool SpawnHold(int port, int count, HoldChild* child) {
 
 /// Connection-scaling axis: N idle connections held open while one active
 /// connection runs `requests` scheduling round trips.
-int RunConnections(bool reactor, int connections, int requests) {
+int RunConnections(int connections, int requests) {
   const rlim_t fd_limit = RaiseFdLimit(connections);
   // Parent budget: one server-side fd per connection plus slack for the
   // listener, epoll/eventfd, stats pipes, and stdio.
@@ -180,7 +179,6 @@ int RunConnections(bool reactor, int connections, int requests) {
   service_options.online.metrics = &metrics;
   SchedService service(service_options);
   SchedServerOptions server_options;
-  server_options.reactor = reactor;
   server_options.metrics = &metrics;
   SchedServer server(&service, server_options);
   Status started = server.Start("127.0.0.1", 0);
@@ -297,7 +295,7 @@ int RunConnections(bool reactor, int connections, int requests) {
   const MetricsSnapshot snap = metrics.Snapshot();
   std::printf(
       "{\"bench\":\"micro_server_connections\",\"version\":1,"
-      "\"server\":\"%s\",\"loop_threads\":%d,"
+      "\"server\":\"reactor\",\"loop_threads\":1,"
       "\"connections_requested\":%d,\"connections_established\":%zu,"
       "\"hold_processes\":%zu,\"establish_seconds\":%.3f,"
       "\"connect_ms\":{\"p50\":%.4f,\"p99\":%.4f,\"max\":%.4f},"
@@ -305,8 +303,7 @@ int RunConnections(bool reactor, int connections, int requests) {
       "\"request_ms\":{\"p50\":%.4f,\"p99\":%.4f,\"max\":%.4f},"
       "\"rss_before_bytes\":%lld,\"rss_bytes\":%lld,"
       "\"accept_errors\":%llu,\"fd_limit\":%llu}\n",
-      reactor ? "reactor" : "threaded",
-      reactor ? 1 : static_cast<int>(established), connections, established,
+      connections, established,
       children.size(), establish_seconds, connect_ms.ValueAtPercentile(0.5),
       connect_ms.ValueAtPercentile(0.99), connect_ms.max(), requests, ok,
       request_ms.ValueAtPercentile(0.5), request_ms.ValueAtPercentile(0.99),
@@ -335,7 +332,6 @@ int RunConnections(bool reactor, int connections, int requests) {
 
 int main(int argc, char** argv) {
   int connections = -1;
-  bool reactor = true;
   int requests = 200;
   int hold_port = -1, hold_count = -1;
   for (int i = 1; i < argc; ++i) {
@@ -345,15 +341,6 @@ int main(int argc, char** argv) {
       hold_count = std::atoi(argv[i] + 13);
     } else if (std::strncmp(argv[i], "--connections=", 14) == 0) {
       connections = std::atoi(argv[i] + 14);
-    } else if (std::strncmp(argv[i], "--server=", 9) == 0) {
-      if (std::strcmp(argv[i] + 9, "reactor") == 0) {
-        reactor = true;
-      } else if (std::strcmp(argv[i] + 9, "threaded") == 0) {
-        reactor = false;
-      } else {
-        std::fprintf(stderr, "--server must be reactor or threaded\n");
-        return 2;
-      }
     } else if (std::strncmp(argv[i], "--requests=", 11) == 0) {
       requests = std::atoi(argv[i] + 11);
     }
@@ -363,10 +350,9 @@ int main(int argc, char** argv) {
   }
   if (connections < 0 || requests <= 0) {
     std::fprintf(stderr,
-                 "usage: %s --connections=N [--server=reactor|threaded] "
-                 "[--requests=R]\n",
+                 "usage: %s --connections=N [--requests=R]\n",
                  argv[0]);
     return 2;
   }
-  return mrs::RunConnections(reactor, connections, requests);
+  return mrs::RunConnections(connections, requests);
 }

@@ -3,8 +3,10 @@
 // phase of floating operators (~2P clones, quantized work vectors so load
 // ties are frequent), then times the full OperatorSchedule call
 //
-//   (a) with the reference linear scan (placement_index = false), and
-//   (b) with the tournament-tree placement index (the default),
+//   (a) with the reference linear scan (the test oracle in
+//       tests/oracles/operator_schedule_oracle.h), and
+//   (b) with OperatorSchedule itself (the tournament-tree placement
+//       index),
 //
 // in interleaved trials (min-of-trials estimator, same reasoning as
 // micro_trace_overhead) and verifies once per configuration that both
@@ -30,6 +32,7 @@
 #include "common/rng.h"
 #include "core/operator_schedule.h"
 #include "cost/parallelize.h"
+#include "oracles/operator_schedule_oracle.h"
 #include "resource/usage_model.h"
 #include "resource/work_vector.h"
 
@@ -108,14 +111,14 @@ int Run(int trials, bool quick) {
       int clones = 0;
       for (const auto& op : ops) clones += op.degree;
 
-      OperatorScheduleOptions linear;
-      linear.placement_index = false;
-      linear.base_load = with_base ? &base : nullptr;
-      OperatorScheduleOptions indexed = linear;
-      indexed.placement_index = true;
+      OperatorScheduleOptions options;
+      options.base_load = with_base ? &base : nullptr;
+      using ScheduleFn = decltype(&OperatorSchedule);
+      const ScheduleFn linear = &oracle::LinearScanOperatorSchedule;
+      const ScheduleFn indexed = &OperatorSchedule;
 
-      auto lin = OperatorSchedule(ops, p, kDims, linear);
-      auto idx = OperatorSchedule(ops, p, kDims, indexed);
+      auto lin = linear(ops, p, kDims, options);
+      auto idx = indexed(ops, p, kDims, options);
       if (!lin.ok() || !idx.ok()) {
         std::fprintf(stderr, "schedule failed: %s %s\n",
                      lin.status().ToString().c_str(),
@@ -130,10 +133,10 @@ int Run(int trials, bool quick) {
       // path while the linear path keeps enough work to time reliably.
       const int reps = std::max(1, (quick ? 16384 : 32768) / p);
       double checksum = 0.0;
-      auto time_one = [&](const OperatorScheduleOptions& options) {
+      auto time_one = [&](ScheduleFn schedule) {
         const auto start = std::chrono::steady_clock::now();
         for (int i = 0; i < reps; ++i) {
-          auto s = OperatorSchedule(ops, p, kDims, options);
+          auto s = schedule(ops, p, kDims, options);
           if (s.ok()) checksum += s->Makespan();
         }
         return std::chrono::duration<double, std::micro>(

@@ -7,12 +7,10 @@
 //   sched_server [--port P] [--host H] [--sites N] [--eps E] [--f F]
 //                [--mpl K] [--queue-depth D] [--timeout-ms T]
 //                [--memory-limit BYTES] [--policy fifo|sjf]
-//                [--reactor | --no-reactor] [--workers W]
+//                [--workers W]
 //
-// The front-end defaults to the epoll reactor (one loop thread serving
-// every connection, scheduling offloaded to W worker threads);
-// --no-reactor selects the thread-per-connection engine instead — same
-// wire behaviour, useful as a differential reference.
+// The front-end is an epoll reactor: one loop thread serves every
+// connection, and scheduling runs on W worker threads.
 //
 // Prints the bound address ("listening on HOST:PORT") on stdout, then
 // serves until stdin reaches EOF (or the process is signalled), drains
@@ -37,7 +35,7 @@ int Usage(const char* argv0) {
                "usage: %s [--port P] [--host H] [--sites N] [--eps E] [--f F]\n"
                "          [--mpl K] [--queue-depth D] [--timeout-ms T]\n"
                "          [--memory-limit BYTES] [--policy fifo|sjf]\n"
-               "          [--reactor | --no-reactor] [--workers W]\n",
+               "          [--workers W]\n",
                argv0);
   return 2;
 }
@@ -79,10 +77,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--memory-limit") == 0) {
       options.online.admission.memory_limit_bytes =
           std::atof(need_value("--memory-limit"));
-    } else if (std::strcmp(argv[i], "--reactor") == 0) {
-      server_options.reactor = true;
-    } else if (std::strcmp(argv[i], "--no-reactor") == 0) {
-      server_options.reactor = false;
     } else if (std::strcmp(argv[i], "--workers") == 0) {
       server_options.worker_threads = std::atoi(need_value("--workers"));
       if (server_options.worker_threads <= 0) return Usage(argv[0]);
@@ -117,11 +111,9 @@ int main(int argc, char** argv) {
                  started.ToString().c_str());
     return 1;
   }
-  std::printf("listening on %s:%d (%s front-end, %d sites, mpl %d, "
+  std::printf("listening on %s:%d (reactor front-end, %d sites, mpl %d, "
               "policy %s)\n",
-              host.c_str(), server.port(),
-              server_options.reactor ? "reactor" : "threaded",
-              options.machine.num_sites,
+              host.c_str(), server.port(), options.machine.num_sites,
               options.online.admission.max_in_flight,
               std::string(AdmissionPolicyToString(
                               options.online.admission.policy))

@@ -20,9 +20,9 @@
 #                      (join-order search wall time and plans/s across
 #                      J x threads, pruned vs the exhaustive baseline)
 #   BENCH_server.json  one JSON object per line from micro_online_throughput
-#                      --connections mode (reactor vs threaded front-end
-#                      holding N idle TCP connections while timing requests
-#                      on one active connection; >=10k connections ride in
+#                      --connections mode (the reactor front-end holding
+#                      N idle TCP connections while timing requests on
+#                      one active connection; >=10k connections ride in
 #                      forked hold-helper processes so the fd limit is
 #                      spent on server-side sockets)
 #   BENCH_trace.txt    PASS/FAIL line from micro_trace_overhead
@@ -75,20 +75,14 @@ echo "=== join-order optimizer search -> ${out_dir}/BENCH_opt.json ==="
 
 echo "=== server connection scaling -> ${out_dir}/BENCH_server.json ==="
 : > "${out_dir}/BENCH_server.json"
-# Matched pairs at interactive scales, then the connection-count ladder the
-# reactor exists for: one epoll loop thread holding 10k/16k idle sockets vs
-# one thread per connection. The top reactor point sits just under the
+# The connection-count ladder the reactor exists for: one epoll loop
+# thread holding up to 16k idle sockets. The top point sits just under the
 # container's RLIMIT_NOFILE hard cap.
-for engine in reactor threaded; do
-  for conns in 64 1024 10000; do
-    "${build_dir}/bench/micro_online_throughput" \
-      --server="${engine}" --connections="${conns}" --requests=1000 \
-      >> "${out_dir}/BENCH_server.json"
-  done
+for conns in 64 1024 10000 16000; do
+  "${build_dir}/bench/micro_online_throughput" \
+    --connections="${conns}" --requests=1000 \
+    >> "${out_dir}/BENCH_server.json"
 done
-"${build_dir}/bench/micro_online_throughput" \
-  --server=reactor --connections=16000 --requests=1000 \
-  >> "${out_dir}/BENCH_server.json"
 cat "${out_dir}/BENCH_server.json"
 
 echo "=== tracing overhead -> ${out_dir}/BENCH_trace.txt ==="

@@ -28,10 +28,11 @@
 # completed responses back to the loop thread, synchronized by the task
 # mutex + eventfd wakeup), ThreadPool::Submit carrying request payloads
 # the other way, and the loop thread's exclusive ownership of every
-# connection state machine in between. The reactor-vs-threaded
-# differential runs N concurrent clients against both engines here, so a
-# missing happens-before edge on either handoff shows up as a TSan race
-# on the connection's parser/output buffers.
+# connection state machine in between. The reactor-vs-ServeConnection
+# differential runs N concurrent clients against the reactor and against
+# one ServeConnection thread per in-process pipe, so a missing
+# happens-before edge on either handoff shows up as a TSan race on the
+# connection's parser/output buffers.
 #
 # SchedService::Handle adds a third seam: results leave mu_ by move.
 # OnlineScheduler::TakeResult moves a query's placed phases out under the

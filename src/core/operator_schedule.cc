@@ -1,7 +1,6 @@
 #include "core/operator_schedule.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -17,6 +16,17 @@ struct CloneRef {
   int clone_idx;
   double length;
 };
+
+/// Lowest site in [0, num_sites) missing from the sorted, duplicate-free
+/// list `used`; -1 when every site is used.
+int FirstSiteExcluding(const std::vector<int>& used, int num_sites) {
+  int site = 0;
+  for (int u : used) {
+    if (u != site) break;
+    ++site;
+  }
+  return site < num_sites ? site : -1;
+}
 
 }  // namespace
 
@@ -122,61 +132,29 @@ Result<Schedule> OperatorSchedule(const std::vector<ParallelizedOp>& ops,
       load_length[static_cast<size_t>(j)] = schedule.SiteLoadLength(j);
     }
   }
-  // Site selection runs in one of two modes with pinned-identical output:
-  // the indexed engine descends a tournament tree over load_length with
-  // the operator's already-used sites excluded (O(log P + degree) per
-  // clone, per-op sorted exclusion lists; below
-  // PlacementIndex::kLinearScanMaxSites it scans its leaves instead —
-  // see placement_index.h), while the reference linear scan walks all P
-  // sites (the differential-testing oracle, and the kFirstAllowable
-  // path, which stops within degree+1 steps regardless).
-  const bool indexed = options.placement_index &&
-                       options.site_choice == SiteChoice::kLeastLoaded;
-  PlacementIndex index;
-  std::vector<std::vector<int>> used_sorted;
-  std::vector<std::vector<char>> used;
-  if (indexed) {
-    index.Reset(load_length);
-    used_sorted.resize(ops.size());
-    for (size_t i = 0; i < ops.size(); ++i) {
-      if (!ops[i].rooted) {
-        used_sorted[i].reserve(static_cast<size_t>(ops[i].degree));
-      }
+  // Least-loaded selection descends a tournament tree over load_length
+  // with the operator's already-used sites excluded (O(log P + degree) per
+  // clone; below PlacementIndex::kLinearScanMaxSites it scans its leaves
+  // instead — see placement_index.h). First-allowable selection takes the
+  // lowest site missing from the same sorted exclusion list, O(degree).
+  PlacementIndex index(load_length);
+  std::vector<std::vector<int>> used_sorted(ops.size());
+  for (size_t i = 0; i < ops.size(); ++i) {
+    if (!ops[i].rooted) {
+      used_sorted[i].reserve(static_cast<size_t>(ops[i].degree));
     }
-  } else {
-    used.assign(ops.size(),
-                std::vector<char>(static_cast<size_t>(num_sites), 0));
   }
   for (const CloneRef& clone : list) {
     const ParallelizedOp& op = ops[clone.op_index];
-    int chosen = -1;
-    if (indexed) {
-      chosen = index.MinSiteExcluding(used_sorted[clone.op_index]);
-    } else {
-      std::vector<char>& op_used = used[clone.op_index];
-      double chosen_load = std::numeric_limits<double>::infinity();
-      for (int j = 0; j < num_sites; ++j) {
-        if (op_used[static_cast<size_t>(j)]) continue;
-        if (options.site_choice == SiteChoice::kFirstAllowable) {
-          chosen = j;
-          break;
-        }
-        if (load_length[static_cast<size_t>(j)] < chosen_load) {
-          chosen = j;
-          chosen_load = load_length[static_cast<size_t>(j)];
-        }
-      }
-    }
+    std::vector<int>& used = used_sorted[clone.op_index];
+    const int chosen = options.site_choice == SiteChoice::kLeastLoaded
+                           ? index.MinSiteExcluding(used)
+                           : FirstSiteExcluding(used, num_sites);
     MRS_CHECK(chosen >= 0)
         << "no allowable site for op" << op.op_id
         << " — degree should have been capped at P";
     MRS_RETURN_IF_ERROR(schedule.Place(op, clone.clone_idx, chosen));
-    if (indexed) {
-      std::vector<int>& ex = used_sorted[clone.op_index];
-      ex.insert(std::upper_bound(ex.begin(), ex.end(), chosen), chosen);
-    } else {
-      used[clone.op_index][static_cast<size_t>(chosen)] = 1;
-    }
+    used.insert(std::upper_bound(used.begin(), used.end(), chosen), chosen);
     if (options.base_load != nullptr) {
       combined[static_cast<size_t>(chosen)] +=
           op.clones[static_cast<size_t>(clone.clone_idx)];
@@ -186,7 +164,7 @@ Result<Schedule> OperatorSchedule(const std::vector<ParallelizedOp>& ops,
       load_length[static_cast<size_t>(chosen)] =
           schedule.SiteLoadLength(chosen);
     }
-    if (indexed) index.Update(chosen, load_length[static_cast<size_t>(chosen)]);
+    index.Update(chosen, load_length[static_cast<size_t>(chosen)]);
   }
   return schedule;
 }

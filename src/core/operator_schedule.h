@@ -40,15 +40,6 @@ struct OperatorScheduleOptions {
   /// the base only biases placement. Null (the default) reproduces the
   /// paper's offline behavior exactly (an all-zero base is equivalent).
   const std::vector<WorkVector>* base_load = nullptr;
-  /// Use the indexed placement engine (a tournament tree over per-site
-  /// l(work(s)) with exclusion-aware descent, see core/placement_index.h)
-  /// for kLeastLoaded site selection: O(log P + degree) per clone instead
-  /// of the O(P) reference scan, with or without a base_load. Tie-breaking
-  /// is pinned to lowest-index-among-minima in both paths, so schedules
-  /// are byte-identical either way — the linear scan is retained as the
-  /// oracle for differential testing (and is what kFirstAllowable always
-  /// uses, where the scan stops within degree+1 steps anyway).
-  bool placement_index = true;
 };
 
 /// The paper's OPERATORSCHEDULE list scheduling heuristic (§5.3, Figure 3)
@@ -69,9 +60,10 @@ struct OperatorScheduleOptions {
 ///
 /// Fails if any operator's degree exceeds `num_sites` or rooted homes are
 /// malformed. Runs in O(M P (M + log P)) (Prop. 5.1); this implementation
-/// is O(total_clones * (log P + degree)) with the placement index (the
-/// default) and O(total_clones * P) with the reference linear scan
-/// (OperatorScheduleOptions::placement_index = false).
+/// is O(total_clones * (log P + degree)): least-loaded selection uses the
+/// tournament tree of core/placement_index.h, whose ties break to the
+/// lowest site index. The O(P) linear scan it replaced is kept as a test
+/// oracle (tests/oracles/operator_schedule_oracle.h).
 Result<Schedule> OperatorSchedule(const std::vector<ParallelizedOp>& ops,
                                   int num_sites, int dims,
                                   const OperatorScheduleOptions& options = {});

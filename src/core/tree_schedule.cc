@@ -296,12 +296,10 @@ Result<PhaseSchedule> PhasePlanner::NextPhase(
   // tree_guard threading list_options.base_load through).
   if (base_load != nullptr) list_options.base_load = base_load;
   if (sched_span.active()) {
-    // Which site-selection engine ran (see OperatorScheduleOptions::
-    // placement_index) — the schedules are pinned byte-identical, so this
-    // only matters for performance forensics.
+    // Which site-selection rule ran: the indexed least-loaded search or
+    // the first-allowable ablation.
     sched_span.Attr("placement",
-                    list_options.placement_index &&
-                            list_options.site_choice == SiteChoice::kLeastLoaded
+                    list_options.site_choice == SiteChoice::kLeastLoaded
                         ? "indexed"
                         : "linear");
   }

@@ -1,7 +1,6 @@
 #include "online/admission.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "common/logging.h"
 #include "common/str_util.h"
@@ -97,18 +96,9 @@ bool AdmissionController::PopAdmissible(AdmissionRequest* out) {
       queue_.pop_front();
       return true;
     }
-    // Head-of-line query does not fit memory. Strict FIFO (the default)
-    // blocks here — smaller fitting queries behind the head wait until
-    // running queries free its memory (see AdmissionOptions::
-    // allow_fifo_bypass for the trade). With bypass, admit the first
-    // fitting query in arrival order; the head keeps its place.
-    if (!options_.allow_fifo_bypass) return false;
-    for (auto it = std::next(queue_.begin()); it != queue_.end(); ++it) {
-      if (!MemoryFits(it->memory_bytes)) continue;
-      *out = *it;
-      queue_.erase(it);
-      return true;
-    }
+    // Head-of-line query does not fit memory. Strict FIFO blocks here:
+    // smaller fitting queries behind the head wait until running queries
+    // free its memory (fairness over utilization).
     return false;
   }
   // Shortest-expected-makespan-first among the entries that fit memory.

@@ -39,19 +39,6 @@ struct AdmissionOptions {
   /// tables) of all running queries, in bytes; < 0 = unlimited. A single
   /// query whose estimate exceeds the budget is rejected outright.
   double memory_limit_bytes = -1.0;
-  /// kFifo only: whether a head-of-line query whose memory demand does
-  /// not currently fit may be overtaken by the first *fitting* query
-  /// behind it (arrival order preserved among the bypassers).
-  ///
-  /// Default false — strict FIFO: the blocked head parks the whole queue
-  /// until running queries release enough memory, starving smaller
-  /// fitting requests behind it indefinitely (fairness over utilization;
-  /// pinned by AdmissionControllerTest.FifoHeadOfLineStarvesSmallerFits).
-  /// True trades that fairness for utilization; the head can in turn be
-  /// starved by a stream of small bypassers, so deadlines remain the
-  /// backstop. Ignored by kShortestMakespanFirst, which always selects
-  /// among fitting entries.
-  bool allow_fifo_bypass = false;
 
   Status Validate() const;
 };

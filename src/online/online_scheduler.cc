@@ -15,6 +15,11 @@ namespace {
 
 constexpr double kTimeTol = 1e-9;
 
+/// Bytes of materialized state per input byte of a state-building
+/// operator (hash table / group table / sorted runs); feeds the admission
+/// memory estimate.
+constexpr double kStateOverhead = 1.2;
+
 /// Fraction of a clone's work still ahead of it at time t under the A3
 /// uniform-usage assumption (linear decay over [start, finish]).
 double RemainingFraction(double start, double finish, double t) {
@@ -227,7 +232,7 @@ uint64_t OnlineScheduler::Submit(const PlanTree& plan, double arrival_ms,
   for (const PhysicalOp& op : rec->ops->ops()) {
     if (MaterializesState(op.kind)) {
       rec->result.memory_estimate_bytes +=
-          static_cast<double>(op.input_bytes()) * options_.state_overhead;
+          static_cast<double>(op.input_bytes()) * kStateOverhead;
     }
   }
   if (est_span.active()) {
@@ -268,7 +273,7 @@ uint64_t OnlineScheduler::Submit(const PlanTree& plan, double arrival_ms,
 
 Status OnlineScheduler::PlanAtSubmit(QueryRec* rec) {
   TreeScheduleOptions tree_options = options_.tree;
-  tree_options.cache = options_.use_cost_cache ? &cache_ : nullptr;
+  tree_options.cache = &cache_;
   tree_options.trace = rec->result.trace.get();
   auto planner = PhasePlanner::Create(*rec->ops, *rec->task_tree, rec->costs,
                                       params_, machine_, usage_, tree_options);

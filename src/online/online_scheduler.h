@@ -28,17 +28,10 @@ struct OnlineSchedulerOptions {
   int num_disks = 1;
   /// Per-query TREESCHEDULE knobs, for the phases placed on admission and
   /// for the shortest-makespan-first estimate. `cache` and `trace` are
-  /// managed by the scheduler itself (see use_cost_cache / collect_traces)
-  /// and ignored. `tree.list_options.placement_index` selects the indexed
-  /// placement engine for the residual-load OPERATORSCHEDULE path too (the
-  /// base_load branch re-run per phase of every admitted query) — with P
-  /// sites and MPL resident queries that path is the hot loop of the
-  /// service, and the indexed and linear engines are pinned to produce
-  /// byte-identical placements.
+  /// managed by the scheduler itself (it owns one memoized parallelize
+  /// cache shared by all queries; see collect_traces) and ignored.
   TreeScheduleOptions tree;
   AdmissionOptions admission;
-  /// Share one memoized parallelize cache across all queries.
-  bool use_cost_cache = true;
   /// Record a per-query ScheduleTrace (planner spans plus the online
   /// placement spans), retrievable from OnlineQueryResult::trace.
   bool collect_traces = false;
@@ -48,10 +41,6 @@ struct OnlineSchedulerOptions {
   /// Registry for the online.* counters/gauges/histograms; nullptr = the
   /// process-global registry.
   MetricsRegistry* metrics = nullptr;
-  /// Bytes of materialized state per input byte of a state-building
-  /// operator (hash table / group table / sorted runs); feeds the
-  /// admission memory estimate.
-  double state_overhead = 1.2;
 };
 
 enum class OnlineQueryState {

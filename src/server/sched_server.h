@@ -7,7 +7,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/metrics.h"
@@ -19,15 +18,6 @@
 namespace mrs {
 
 struct SchedServerOptions {
-  /// Front-end engine for TCP connections accepted through Start().
-  /// true: one epoll reactor thread drives every connection's state
-  /// machine and a small worker pool runs SchedService::Handle — the
-  /// thread count is O(workers), not O(connections), so one replica holds
-  /// 100k idle sockets. false: the PR3 thread-per-connection oracle,
-  /// retained as the differential reference (byte-identical response
-  /// streams for the same request streams).
-  bool reactor = true;
-
   /// Worker threads running SchedService::Handle under the reactor. The
   /// service serializes scheduling on its own mutex, so this pool exists
   /// to keep a long Handle (a 50-join monster) from stalling I/O, not to
@@ -41,9 +31,6 @@ struct SchedServerOptions {
   /// Must exceed kMaxFrameBytes + 4 or a single maximal response could
   /// trip it; the default gives 4 maximal frames of slack.
   size_t max_write_backlog_bytes = 4 * (kMaxFrameBytes + kFrameHeaderBytes);
-
-  /// Accept backoff after EMFILE/ENFILE-style resource pressure.
-  double accept_backoff_ms = 50.0;
 
   /// Registry for the server.* metrics; nullptr uses the global one.
   MetricsRegistry* metrics = nullptr;
@@ -69,9 +56,10 @@ struct ServerMetrics {
 /// Start, or any Connection via ServeConnection) and runs the one-frame-
 /// request / one-frame-response loop against a SchedService.
 ///
-/// Start() serves TCP through one of two engines (SchedServerOptions::
-/// reactor): the epoll reactor (default) or the thread-per-connection
-/// oracle. ServeConnection() always runs the blocking loop on the
+/// Start() serves TCP through an epoll reactor: one loop thread drives
+/// every connection's state machine and a small worker pool runs
+/// SchedService::Handle, so the thread count is O(workers), not
+/// O(connections). ServeConnection() runs the blocking loop on the
 /// caller's thread (in-process pipes have no fd to poll).
 ///
 /// Shutdown drains: it stops accepting, stops reading from every live
@@ -89,7 +77,7 @@ class SchedServer {
   SchedServer& operator=(const SchedServer&) = delete;
 
   /// Binds a TCP listener (port 0 = ephemeral; see port()) and starts the
-  /// configured engine.
+  /// reactor.
   Status Start(const std::string& host = "127.0.0.1", int port = 0);
 
   /// Bound TCP port; 0 when Start was not called.
@@ -97,8 +85,8 @@ class SchedServer {
 
   /// Serves one connection on the caller's thread until the peer closes
   /// or the server shuts down. Used directly with an in-process pipe
-  /// endpoint for deterministic tests and benches; the threaded accept
-  /// loop uses it too. Does not close `conn` (the caller owns it).
+  /// endpoint for deterministic tests and benches. Does not close `conn`
+  /// (the caller owns it).
   void ServeConnection(Connection* conn);
 
   /// Drain-and-stop; idempotent, safe without Start.
@@ -113,7 +101,6 @@ class SchedServer {
  private:
   struct Reactor;  // epoll engine; defined in sched_server.cc
 
-  void AcceptLoop();
   void Register(Connection* conn);
   void Unregister(Connection* conn);
 
@@ -124,18 +111,13 @@ class SchedServer {
   bool started_ = false;
   std::atomic<bool> shutdown_{false};
 
-  // Reactor engine (options_.reactor).
   std::unique_ptr<Reactor> reactor_;
 
-  // Threaded engine (oracle path) + ServeConnection bookkeeping.
-  std::thread accept_thread_;
+  // ServeConnection drain bookkeeping.
   std::mutex mu_;
   std::condition_variable idle_cv_;
   /// Connections currently inside ServeConnection (any thread).
   std::vector<Connection*> live_;
-  /// Accept-loop connections and their serving threads (owned).
-  std::vector<std::unique_ptr<Connection>> owned_;
-  std::vector<std::thread> conn_threads_;
 };
 
 }  // namespace mrs

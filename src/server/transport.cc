@@ -240,37 +240,9 @@ Status SocketListener::Listen(const std::string& host, int port) {
   return Status::OK();
 }
 
-Result<std::unique_ptr<Connection>> SocketListener::Accept() {
-  const int fd = fd_.load(std::memory_order_acquire);
-  if (fd < 0) return Status::FailedPrecondition("listener closed");
-  while (true) {
-    const int conn = ::accept(fd, nullptr, nullptr);
-    if (conn >= 0) {
-      const int one = 1;
-      ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      return std::unique_ptr<Connection>(new SocketConnection(conn));
-    }
-    const int err = errno;
-    if (err == EINTR || err == ECONNABORTED) continue;
-    // A concurrent Close() surfaces as EBADF/EINVAL on the old fd; report
-    // it as the listener going away, not as an accept malfunction.
-    if (fd_.load(std::memory_order_acquire) < 0) {
-      return Status::FailedPrecondition("listener closed");
-    }
-    if (err == EMFILE || err == ENFILE || err == ENOBUFS || err == ENOMEM) {
-      return Status::Unavailable(
-          StrFormat("accept hit resource pressure: %s", std::strerror(err)));
-    }
-    return Status::Internal(
-        StrFormat("accept failed: %s", std::strerror(err)));
-  }
-}
-
 void SocketListener::Close() {
   const int fd = fd_.exchange(-1, std::memory_order_acq_rel);
   if (fd >= 0) {
-    // shutdown() (not just close) reliably unblocks a concurrent accept.
-    ::shutdown(fd, SHUT_RDWR);
     ::close(fd);
   }
 }

@@ -52,8 +52,8 @@ Result<std::unique_ptr<Connection>> ConnectTcp(const std::string& host,
 /// Sets or clears O_NONBLOCK on `fd`.
 Status SetNonBlocking(int fd, bool nonblocking);
 
-/// A listening TCP socket. Close() (from any thread) unblocks a pending
-/// Accept, which then returns an error.
+/// A listening TCP socket. The reactor front-end accepts on raw_fd();
+/// the listener owns binding and closing it.
 class SocketListener {
  public:
   SocketListener() = default;
@@ -65,27 +65,16 @@ class SocketListener {
   /// from port()).
   Status Listen(const std::string& host, int port);
 
-  /// Blocking accept. Error taxonomy (the accept loop depends on it):
-  ///   FailedPrecondition  the listener was Close()d — stop accepting;
-  ///   Unavailable         transient resource pressure (EMFILE/ENFILE/
-  ///                       ENOBUFS/ENOMEM) — count it, back off, retry;
-  ///   Internal            anything else — genuinely broken.
-  /// Per-connection aborts (ECONNABORTED) and EINTR are retried
-  /// internally and never surface.
-  Result<std::unique_ptr<Connection>> Accept();
-
   void Close();
 
   int port() const { return port_; }
 
-  /// The raw listening fd (-1 after Close). The reactor front-end owns
-  /// accept directly: it switches the fd to nonblocking and registers it
-  /// with the event loop; the listener still owns closing it.
+  /// The raw listening fd (-1 after Close). The reactor switches it to
+  /// nonblocking and registers it with its event loop.
   int raw_fd() const { return fd_.load(std::memory_order_acquire); }
 
  private:
-  // Close() runs concurrently with a blocked Accept(); the fd slot itself
-  // must be a synchronized handoff (the kernel handles the syscall side).
+  // Shutdown may Close() from a thread other than the one that Listened.
   std::atomic<int> fd_{-1};
   int port_ = 0;
 };

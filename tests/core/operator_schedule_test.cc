@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "oracles/operator_schedule_oracle.h"
 #include "resource/usage_model.h"
 #include "test_util.h"
 
@@ -159,19 +160,24 @@ TEST(OperatorScheduleTest, AlternativeOrdersStillValid) {
   EXPECT_TRUE(s->Validate(ops).ok());
 }
 
+/// Both schedulers under test: the production (indexed) placement and
+/// the linear-scan oracle.
+constexpr decltype(&OperatorSchedule) kEngines[] = {
+    &oracle::LinearScanOperatorSchedule, &OperatorSchedule};
+
 /// Tie-break contract for kLeastLoaded: among equal-load allowable sites
 /// the lowest-numbered site wins, identically on the reference linear
 /// scan and the indexed placement engine.
 TEST(OperatorScheduleTest, TieBreaksToLowestIndexOnBothEngines) {
   OverlapUsageModel usage(0.5);
-  for (bool use_index : {false, true}) {
+  for (size_t use_index = 0; use_index < 2; ++use_index) {
+    const auto schedule = kEngines[use_index];
     OperatorScheduleOptions options;
-    options.placement_index = use_index;
 
     // All four sites empty and equal: a degree-2 op takes sites 0 then 1
     // (constraint A excludes 0 for the second clone).
     auto even = MakeOp(0, {{2.0, 2.0}, {2.0, 2.0}}, usage);
-    auto s = OperatorSchedule({even}, 4, 2, options);
+    auto s = schedule({even}, 4, 2, options);
     ASSERT_TRUE(s.ok());
     EXPECT_EQ(s->HomeOf(0), (std::vector<int>{0, 1})) << "index=" << use_index;
 
@@ -179,7 +185,7 @@ TEST(OperatorScheduleTest, TieBreaksToLowestIndexOnBothEngines) {
     // lands on 0, not 2.
     auto rooted = MakeOp(0, {{5.0, 5.0}, {5.0, 5.0}}, usage, /*home=*/{1, 3});
     auto floating = MakeUnitOp(1, {1.0, 1.0}, usage);
-    s = OperatorSchedule({rooted, floating}, 4, 2, options);
+    s = schedule({rooted, floating}, 4, 2, options);
     ASSERT_TRUE(s.ok());
     EXPECT_EQ(s->HomeOf(1), (std::vector<int>{0})) << "index=" << use_index;
   }
@@ -192,14 +198,14 @@ TEST(OperatorScheduleTest, TieBreaksToLowestIndexWithBaseLoad) {
   OverlapUsageModel usage(0.5);
   const std::vector<WorkVector> base = {
       {3.0, 3.0}, {0.0, 0.0}, {3.0, 3.0}, {0.0, 0.0}};
-  for (bool use_index : {false, true}) {
+  for (size_t use_index = 0; use_index < 2; ++use_index) {
+    const auto schedule = kEngines[use_index];
     OperatorScheduleOptions options;
-    options.placement_index = use_index;
     options.base_load = &base;
 
     // Sites 1 and 3 are tied least-loaded: a degree-2 op takes 1 then 3.
     auto op = MakeOp(0, {{1.0, 1.0}, {1.0, 1.0}}, usage);
-    auto s = OperatorSchedule({op}, 4, 2, options);
+    auto s = schedule({op}, 4, 2, options);
     ASSERT_TRUE(s.ok());
     EXPECT_EQ(s->HomeOf(0), (std::vector<int>{1, 3})) << "index=" << use_index;
 
@@ -207,7 +213,7 @@ TEST(OperatorScheduleTest, TieBreaksToLowestIndexWithBaseLoad) {
     // base-3 sites): the follow-up unit op, free of constraint A against
     // op 0, must resolve the fresh tie to the lower index 1.
     auto follow = MakeUnitOp(1, {1.0, 1.0}, usage);
-    s = OperatorSchedule({op, follow}, 4, 2, options);
+    s = schedule({op, follow}, 4, 2, options);
     ASSERT_TRUE(s.ok());
     EXPECT_EQ(s->HomeOf(0), (std::vector<int>{1, 3})) << "index=" << use_index;
     EXPECT_EQ(s->HomeOf(1), (std::vector<int>{1})) << "index=" << use_index;

@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "core/operator_schedule.h"
+#include "oracles/operator_schedule_oracle.h"
 #include "resource/usage_model.h"
 #include "test_util.h"
 
@@ -135,11 +136,12 @@ TEST(PlacementIndexTest, ThresholdStraddlingSizesAgree) {
   }
 }
 
-/// Differential property: the indexed and linear OPERATORSCHEDULE paths
-/// produce byte-identical schedules — same clone-to-site mapping in the
-/// same placement order, bit-equal makespan — on random instances at
-/// machine sizes up to P=4096, with and without rooted operators and a
-/// residual base load (the online scheduler's branch).
+/// Differential property: OPERATORSCHEDULE and the linear-scan oracle
+/// (tests/oracles/operator_schedule_oracle.h) produce byte-identical
+/// schedules — same clone-to-site mapping in the same placement order,
+/// bit-equal makespan — on random instances at machine sizes up to
+/// P=4096, for both site-selection rules, with and without rooted
+/// operators and a residual base load (the online scheduler's branch).
 class DifferentialPlacementTest
     : public ::testing::TestWithParam<std::tuple<int, uint64_t>> {};
 
@@ -188,31 +190,35 @@ TEST_P(DifferentialPlacementTest, IndexedMatchesLinearOracle) {
     }
   }
 
-  for (ListOrder order : {ListOrder::kDecreasingLength, ListOrder::kInputOrder}) {
-    OperatorScheduleOptions linear;
-    linear.order = order;
-    linear.placement_index = false;
-    linear.base_load = with_base ? &base : nullptr;
-    OperatorScheduleOptions indexed = linear;
-    indexed.placement_index = true;
+  for (SiteChoice choice :
+       {SiteChoice::kLeastLoaded, SiteChoice::kFirstAllowable}) {
+    for (ListOrder order :
+         {ListOrder::kDecreasingLength, ListOrder::kInputOrder}) {
+      OperatorScheduleOptions options;
+      options.order = order;
+      options.site_choice = choice;
+      options.base_load = with_base ? &base : nullptr;
 
-    auto a = OperatorSchedule(ops, p, dims, linear);
-    auto b = OperatorSchedule(ops, p, dims, indexed);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    ASSERT_TRUE(b->Validate(ops).ok());
-    ASSERT_EQ(a->num_placements(), b->num_placements());
-    for (int i = 0; i < a->num_placements(); ++i) {
-      const ClonePlacement& pa = a->placements()[static_cast<size_t>(i)];
-      const ClonePlacement& pb = b->placements()[static_cast<size_t>(i)];
-      ASSERT_EQ(pa.op_id, pb.op_id) << "P=" << p << " placement " << i;
-      ASSERT_EQ(pa.clone_idx, pb.clone_idx) << "P=" << p << " placement " << i;
-      ASSERT_EQ(pa.site, pb.site)
-          << "P=" << p << " op" << pa.op_id << " clone " << pa.clone_idx
-          << " base=" << with_base;
+      auto a = oracle::LinearScanOperatorSchedule(ops, p, dims, options);
+      auto b = OperatorSchedule(ops, p, dims, options);
+      ASSERT_TRUE(a.ok()) << a.status().ToString();
+      ASSERT_TRUE(b.ok()) << b.status().ToString();
+      ASSERT_TRUE(b->Validate(ops).ok());
+      ASSERT_EQ(a->num_placements(), b->num_placements());
+      for (int i = 0; i < a->num_placements(); ++i) {
+        const ClonePlacement& pa = a->placements()[static_cast<size_t>(i)];
+        const ClonePlacement& pb = b->placements()[static_cast<size_t>(i)];
+        ASSERT_EQ(pa.op_id, pb.op_id) << "P=" << p << " placement " << i;
+        ASSERT_EQ(pa.clone_idx, pb.clone_idx)
+            << "P=" << p << " placement " << i;
+        ASSERT_EQ(pa.site, pb.site)
+            << "P=" << p << " op" << pa.op_id << " clone " << pa.clone_idx
+            << " base=" << with_base
+            << " first_allowable=" << (choice == SiteChoice::kFirstAllowable);
+      }
+      // Identical placements make every derived quantity bit-equal.
+      ASSERT_EQ(a->Makespan(), b->Makespan());
     }
-    // Identical placements make every derived quantity bit-equal.
-    ASSERT_EQ(a->Makespan(), b->Makespan());
   }
 }
 

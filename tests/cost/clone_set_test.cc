@@ -15,6 +15,7 @@
 #include "cost/clone_set.h"
 #include "cost/parallelize.h"
 #include "exec/fluid_simulator.h"
+#include "oracles/operator_schedule_oracle.h"
 #include "resource/usage_model.h"
 #include "test_util.h"
 #include "workload/skew.h"
@@ -165,9 +166,9 @@ void ExpectIdenticalSchedules(const Schedule& a, const Schedule& b) {
   EXPECT_EQ(a.Makespan(), b.Makespan());  // bitwise
 }
 
-// Differential sweep: OPERATORSCHEDULE must produce byte-identical
-// schedules from compressed and materialized clone sets, across list
-// orders and both site-selection engines.
+// Differential sweep: OPERATORSCHEDULE and its linear-scan oracle must
+// each produce byte-identical schedules from compressed and materialized
+// clone sets, across list orders.
 TEST(CloneSetDifferentialTest, OperatorScheduleIdenticalAfterCompression) {
   const OverlapUsageModel usage(0.5);
   const int num_sites = 12;
@@ -176,15 +177,19 @@ TEST(CloneSetDifferentialTest, OperatorScheduleIdenticalAfterCompression) {
   for (ListOrder order : {ListOrder::kDecreasingLength,
                           ListOrder::kIncreasingLength,
                           ListOrder::kInputOrder, ListOrder::kRandom}) {
-    for (bool indexed : {true, false}) {
-      OperatorScheduleOptions options;
-      options.order = order;
-      options.placement_index = indexed;
-      auto a = OperatorSchedule(uniform, num_sites, 3, options);
-      auto b = OperatorSchedule(expanded, num_sites, 3, options);
-      ASSERT_TRUE(a.ok() && b.ok());
-      ExpectIdenticalSchedules(*a, *b);
-    }
+    OperatorScheduleOptions options;
+    options.order = order;
+    auto a = OperatorSchedule(uniform, num_sites, 3, options);
+    auto b = OperatorSchedule(expanded, num_sites, 3, options);
+    ASSERT_TRUE(a.ok() && b.ok());
+    ExpectIdenticalSchedules(*a, *b);
+    auto linear_a =
+        oracle::LinearScanOperatorSchedule(uniform, num_sites, 3, options);
+    auto linear_b =
+        oracle::LinearScanOperatorSchedule(expanded, num_sites, 3, options);
+    ASSERT_TRUE(linear_a.ok() && linear_b.ok());
+    ExpectIdenticalSchedules(*linear_a, *linear_b);
+    ExpectIdenticalSchedules(*a, *linear_a);
   }
 }
 

@@ -106,11 +106,10 @@ TEST(AdmissionControllerTest, FifoHeadOfLineBlocksOnMemory) {
 }
 
 TEST(AdmissionControllerTest, FifoHeadOfLineStarvesSmallerFits) {
-  // Pins the documented default semantics: strict FIFO never lets a
-  // fitting query overtake a blocked head — even across arbitrarily many
+  // Pins the documented semantics: strict FIFO never lets a fitting
+  // query overtake a blocked head — even across arbitrarily many
   // admission attempts and unrelated completions, the small request
-  // starves until the head itself fits (fairness over utilization; see
-  // AdmissionOptions::allow_fifo_bypass for the escape hatch).
+  // starves until the head itself fits (fairness over utilization).
   AdmissionOptions options;
   options.max_in_flight = 4;
   options.memory_limit_bytes = 100.0;
@@ -135,38 +134,6 @@ TEST(AdmissionControllerTest, FifoHeadOfLineStarvesSmallerFits) {
   EXPECT_FALSE(ctl.PopAdmissible(&next));
   EXPECT_EQ(ctl.queue_depth(), 2);
   // Only the head's own memory becoming available drains it — in order.
-  ctl.OnFinished(Req(1, 0.0, 10.0, 90.0));
-  ASSERT_TRUE(ctl.PopAdmissible(&next));
-  EXPECT_EQ(next.id, 2u);
-  ASSERT_TRUE(ctl.PopAdmissible(&next));
-  EXPECT_EQ(next.id, 3u);
-}
-
-TEST(AdmissionControllerTest, FifoBypassAdmitsFirstFittingBehindBlockedHead) {
-  AdmissionOptions options;
-  options.max_in_flight = 4;
-  options.memory_limit_bytes = 100.0;
-  options.allow_fifo_bypass = true;
-  AdmissionController ctl(options);
-  Status why;
-  ASSERT_EQ(ctl.OnArrival(Req(1, 0.0, 10.0, 90.0), &why),
-            AdmissionController::Decision::kAdmit);
-  ctl.OnAdmitted(Req(1, 0.0, 10.0, 90.0));
-  ASSERT_EQ(ctl.OnArrival(Req(2, 1.0, 10.0, 50.0), &why),
-            AdmissionController::Decision::kQueue);
-  ASSERT_EQ(ctl.OnArrival(Req(3, 2.0, 10.0, 20.0), &why),
-            AdmissionController::Decision::kQueue);
-  ASSERT_EQ(ctl.OnArrival(Req(4, 3.0, 10.0, 5.0), &why),
-            AdmissionController::Decision::kQueue);
-  // 10 bytes are free: the head (50) is blocked and so is query 3 (20);
-  // query 4 (5 bytes) is the first *fitting* query in arrival order and
-  // bypasses.
-  AdmissionRequest next;
-  ASSERT_TRUE(ctl.PopAdmissible(&next));
-  EXPECT_EQ(next.id, 4u);
-  ctl.OnAdmitted(next);
-  // 95 in use: nothing else fits; the head keeps its place at the front.
-  EXPECT_FALSE(ctl.PopAdmissible(&next));
   ctl.OnFinished(Req(1, 0.0, 10.0, 90.0));
   ASSERT_TRUE(ctl.PopAdmissible(&next));
   EXPECT_EQ(next.id, 2u);

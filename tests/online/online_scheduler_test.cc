@@ -71,34 +71,6 @@ TEST(OnlineSchedulerTest, IdleSystemMatchesOfflineByteForByte) {
   }
 }
 
-TEST(OnlineSchedulerTest, PlacementIndexMatchesLinearOnResidualPath) {
-  // The placement-index switch threads through the online service's
-  // residual-load branch: an overlapping multi-query workload placed with
-  // the indexed engine must produce byte-identical schedule JSON to the
-  // linear-scan oracle, phase by phase, while residents actually contend.
-  PlanFixture fa = BushyFourWayFixture();
-  PlanFixture fb = PipelinedChainFixture(3);
-  MachineConfig machine;
-
-  auto run = [&](bool use_index) {
-    MetricsRegistry metrics;
-    OnlineSchedulerOptions options;
-    options.metrics = &metrics;
-    options.tree.list_options.placement_index = use_index;
-    OnlineScheduler sched(CostParams{}, machine, options);
-    const uint64_t a = sched.Submit(*fa.plan, 0.0);
-    // Overlap: B arrives while A's clones are resident.
-    const uint64_t b = sched.Submit(*fb.plan, 0.5);
-    EXPECT_TRUE(sched.Drain().ok());
-    const OnlineQueryResult* ra = sched.result(a);
-    const OnlineQueryResult* rb = sched.result(b);
-    EXPECT_EQ(ra->state, OnlineQueryState::kDone);
-    EXPECT_EQ(rb->state, OnlineQueryState::kDone);
-    return TreeScheduleToJson(ra->schedule) + TreeScheduleToJson(rb->schedule);
-  };
-  EXPECT_EQ(run(true), run(false));
-}
-
 TEST(OnlineSchedulerTest, DisjointCapacityKeepsSingleQueryMakespans) {
   PlanFixture fa = SingleJoinFixture(8000, 4000);
   PlanFixture fb = SingleJoinFixture(1500, 1200);
@@ -770,13 +742,11 @@ TEST(OnlineSchedulerTest, PlanningFailureIsRejectedBeforeAdmission) {
   struct Case {
     int num_sites;
     double granularity;
-    bool use_cost_cache;
     const char* message;
   };
   const Case cases[] = {
-      {0, 0.7, true, "MachineConfig.num_sites must be >= 1, got 0"},
-      {16, -1.0, true, "granularity parameter f must be >= 0"},
-      {16, -1.0, false, "granularity parameter f must be >= 0"},
+      {0, 0.7, "MachineConfig.num_sites must be >= 1, got 0"},
+      {16, -1.0, "granularity parameter f must be >= 0"},
   };
   for (const Case& c : cases) {
     MachineConfig machine;
@@ -785,7 +755,6 @@ TEST(OnlineSchedulerTest, PlanningFailureIsRejectedBeforeAdmission) {
     OnlineSchedulerOptions options;
     options.metrics = &metrics;
     options.tree.granularity = c.granularity;
-    options.use_cost_cache = c.use_cost_cache;
     OnlineScheduler sched(CostParams{}, machine, options);
     const uint64_t id = sched.Submit(*fx.plan, 0.0);
     const OnlineQueryResult* r = sched.result(id);

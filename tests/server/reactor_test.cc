@@ -1,7 +1,8 @@
 // Adversarial-connection and differential coverage for the epoll reactor
-// front-end (server/sched_server.cc, SchedServerOptions::reactor):
+// front-end (server/sched_server.cc):
 //
-//  * reactor vs thread-per-connection oracle: byte-identical response
+//  * reactor vs the blocking ServeConnection loop, one thread per
+//    in-process pipe (the threaded oracle): byte-identical response
 //    streams for the same per-client request streams (N concurrent
 //    clients, mixed payload sizes forcing partial writes), and for the
 //    real scheduling service on a sequential client;
@@ -13,8 +14,8 @@
 //    error (server.backlog_closed) instead of wedging the loop;
 //  * peers that RST with responses queued must not kill the process
 //    (the write path's MSG_NOSIGNAL vs SIGPIPE regression);
-//  * accept-loop survival under RLIMIT_NOFILE pressure (EMFILE), both
-//    engines — the `fast`-label smoke for ulimit -n.
+//  * accept survival under RLIMIT_NOFILE pressure (EMFILE) — the
+//    `fast`-label smoke for ulimit -n.
 
 #include <arpa/inet.h>
 #include <dirent.h>
@@ -94,12 +95,42 @@ class BigService : public SchedService {
   }
 };
 
-SchedServerOptions ReactorOptions(MetricsRegistry* metrics, bool reactor) {
+SchedServerOptions ReactorOptions(MetricsRegistry* metrics) {
   SchedServerOptions options;
-  options.reactor = reactor;
   options.metrics = metrics;
   return options;
 }
+
+/// Client connections to one SchedServer, over TCP to its reactor (the
+/// server must be started) or over in-process pipes, each served by
+/// ServeConnection on its own thread — the threaded oracle.
+class Clients {
+ public:
+  Clients(SchedServer* server, bool tcp) : server_(server), tcp_(tcp) {}
+
+  Result<SchedClient> Connect() {
+    if (tcp_) return SchedClient::ConnectTcp("127.0.0.1", server_->port());
+    auto [client_end, server_end] = CreateInProcessPipe();
+    Connection* raw = server_end.get();
+    server_ends_.push_back(std::move(server_end));
+    serving_.emplace_back([server = server_, raw] {
+      server->ServeConnection(raw);
+    });
+    return SchedClient(std::move(client_end));
+  }
+
+  /// Waits for every ServeConnection loop; close all clients first.
+  void Join() {
+    for (std::thread& t : serving_) t.join();
+    serving_.clear();
+  }
+
+ private:
+  SchedServer* server_;
+  bool tcp_;
+  std::vector<std::unique_ptr<Connection>> server_ends_;
+  std::vector<std::thread> serving_;
+};
 
 /// The per-client request streams of the differential test: mixed sizes,
 /// from empty through ~1 MiB responses (doubled 512 KiB requests).
@@ -116,45 +147,52 @@ std::vector<std::string> RequestStream(int client_id) {
   return requests;
 }
 
-/// Runs `clients` concurrent TCP clients against a fresh server of the
-/// given engine, each sending its RequestStream strictly
-/// request-by-request, and returns the per-client response sequences.
-std::vector<std::vector<std::string>> RunClients(bool reactor, int clients) {
+/// Runs `clients` concurrent clients against a fresh server, over TCP to
+/// the reactor or over pipes to the threaded oracle, each sending its
+/// RequestStream strictly request-by-request, and returns the per-client
+/// response sequences.
+std::vector<std::vector<std::string>> RunClients(bool tcp, int clients) {
   MetricsRegistry metrics;
   TransformService service;
-  SchedServer server(&service, ReactorOptions(&metrics, reactor));
-  Status started = server.Start("127.0.0.1", 0);
-  EXPECT_TRUE(started.ok()) << started.ToString();
+  SchedServer server(&service, ReactorOptions(&metrics));
+  if (tcp) {
+    Status started = server.Start("127.0.0.1", 0);
+    EXPECT_TRUE(started.ok()) << started.ToString();
+  }
+  Clients connections(&server, tcp);
 
   std::vector<std::vector<std::string>> responses(clients);
   std::vector<std::thread> threads;
   threads.reserve(clients);
   for (int i = 0; i < clients; ++i) {
-    threads.emplace_back([i, port = server.port(), &responses] {
-      auto client = SchedClient::ConnectTcp("127.0.0.1", port);
-      ASSERT_TRUE(client.ok()) << client.status().ToString();
-      for (const std::string& request : RequestStream(i)) {
-        auto response = client->Call(request);
-        ASSERT_TRUE(response.ok()) << response.status().ToString();
-        responses[i].push_back(std::move(response).value());
-      }
-      client->Close();
-    });
+    auto client = connections.Connect();
+    EXPECT_TRUE(client.ok()) << client.status().ToString();
+    if (!client.ok()) break;
+    threads.emplace_back(
+        [i, &responses, client = std::move(client).value()]() mutable {
+          for (const std::string& request : RequestStream(i)) {
+            auto response = client.Call(request);
+            ASSERT_TRUE(response.ok()) << response.status().ToString();
+            responses[i].push_back(std::move(response).value());
+          }
+          client.Close();
+        });
   }
   for (std::thread& t : threads) t.join();
+  connections.Join();
   server.Shutdown();
   return responses;
 }
 
 TEST(ReactorDifferentialTest, ConcurrentClientsByteIdenticalToThreadedOracle) {
   constexpr int kClients = 6;
-  const auto reactor = RunClients(/*reactor=*/true, kClients);
-  const auto threaded = RunClients(/*reactor=*/false, kClients);
+  const auto reactor = RunClients(/*tcp=*/true, kClients);
+  const auto threaded = RunClients(/*tcp=*/false, kClients);
   ASSERT_EQ(reactor.size(), threaded.size());
   for (int i = 0; i < kClients; ++i) {
     ASSERT_EQ(reactor[i].size(), threaded[i].size()) << "client " << i;
     for (size_t r = 0; r < reactor[i].size(); ++r) {
-      // Byte-identical across engines, and both equal the ground truth.
+      // Byte-identical across front-ends, and both equal the ground truth.
       EXPECT_EQ(reactor[i][r], threaded[i][r])
           << "client " << i << " response " << r;
       EXPECT_EQ(reactor[i][r],
@@ -163,51 +201,56 @@ TEST(ReactorDifferentialTest, ConcurrentClientsByteIdenticalToThreadedOracle) {
   }
 }
 
-TEST(ReactorDifferentialTest, RealServiceByteIdenticalToThreadedOracle) {
+TEST(ReactorDifferentialTest, RealServiceByteIdenticalToServeConnection) {
   PlanFixture fx = MakeFixture({6000, 3000}, [](PlanTree* plan) {
     plan->AddJoin(plan->AddLeaf(0).value(), plan->AddLeaf(1).value()).value();
   });
   auto text = WritePlanText(*fx.catalog, *fx.plan);
   ASSERT_TRUE(text.ok()) << text.status().ToString();
 
-  // A fresh scheduler per engine and a single sequential client make the
-  // full responses (ids, virtual times, schedule JSON) deterministic, so
-  // the comparison really is byte-for-byte.
-  auto run = [&](bool reactor) {
+  // A fresh scheduler per front-end and a single sequential client make
+  // the full responses (ids, virtual times, schedule JSON) deterministic,
+  // so the comparison really is byte-for-byte.
+  auto run = [&](bool tcp) {
     MetricsRegistry metrics;
     SchedServiceOptions service_options;
     service_options.online.metrics = &metrics;
     service_options.online.admission.max_in_flight = 1;
     SchedService service(service_options);
-    SchedServer server(&service, ReactorOptions(&metrics, reactor));
-    EXPECT_TRUE(server.Start("127.0.0.1", 0).ok());
-    auto client = SchedClient::ConnectTcp("127.0.0.1", server.port());
+    SchedServer server(&service, ReactorOptions(&metrics));
+    if (tcp) {
+      EXPECT_TRUE(server.Start("127.0.0.1", 0).ok());
+    }
+    Clients connections(&server, tcp);
+    auto client = connections.Connect();
     EXPECT_TRUE(client.ok()) << client.status().ToString();
     std::vector<std::string> responses;
-    for (int r = 0; r < 5; ++r) {
+    for (int r = 0; r < 5 && client.ok(); ++r) {
       auto response =
           client->Call(StrFormat("@arrival %d\n", r * 1000) + text.value());
       EXPECT_TRUE(response.ok()) << response.status().ToString();
       responses.push_back(std::move(response).value());
     }
-    client->Close();
+    if (client.ok()) client->Close();
+    connections.Join();
     server.Shutdown();
     return responses;
   };
   const auto reactor = run(true);
-  const auto threaded = run(false);
-  ASSERT_EQ(reactor.size(), threaded.size());
+  const auto serve_connection = run(false);
+  ASSERT_EQ(reactor.size(), 5u);
+  ASSERT_EQ(reactor.size(), serve_connection.size());
   for (size_t r = 0; r < reactor.size(); ++r) {
     EXPECT_NE(reactor[r].find("\"status\":\"ok\""), std::string::npos)
         << reactor[r];
-    EXPECT_EQ(reactor[r], threaded[r]) << "response " << r;
+    EXPECT_EQ(reactor[r], serve_connection[r]) << "response " << r;
   }
 }
 
 TEST(ReactorAdversarialTest, SlowLorisByteAtATimeFrameIsServed) {
   MetricsRegistry metrics;
   TransformService service;
-  SchedServer server(&service, ReactorOptions(&metrics, true));
+  SchedServer server(&service, ReactorOptions(&metrics));
   ASSERT_TRUE(server.Start("127.0.0.1", 0).ok());
 
   auto conn = ConnectTcp("127.0.0.1", server.port());
@@ -229,7 +272,7 @@ TEST(ReactorAdversarialTest, SlowLorisByteAtATimeFrameIsServed) {
 TEST(ReactorAdversarialTest, PipelinedFramesAnswerInOrder) {
   MetricsRegistry metrics;
   TransformService service;
-  SchedServer server(&service, ReactorOptions(&metrics, true));
+  SchedServer server(&service, ReactorOptions(&metrics));
   ASSERT_TRUE(server.Start("127.0.0.1", 0).ok());
 
   auto conn = ConnectTcp("127.0.0.1", server.port());
@@ -258,7 +301,7 @@ TEST(ReactorAdversarialTest, PipelinedFramesAnswerInOrder) {
 TEST(ReactorAdversarialTest, MidFrameDisconnectLeavesLoopServing) {
   MetricsRegistry metrics;
   TransformService service;
-  SchedServer server(&service, ReactorOptions(&metrics, true));
+  SchedServer server(&service, ReactorOptions(&metrics));
   ASSERT_TRUE(server.Start("127.0.0.1", 0).ok());
 
   {
@@ -287,7 +330,7 @@ TEST(ReactorAdversarialTest, MidFrameDisconnectLeavesLoopServing) {
 TEST(ReactorAdversarialTest, OversizedFrameRejectedWithoutTearingDownLoop) {
   MetricsRegistry metrics;
   TransformService service;
-  SchedServer server(&service, ReactorOptions(&metrics, true));
+  SchedServer server(&service, ReactorOptions(&metrics));
   ASSERT_TRUE(server.Start("127.0.0.1", 0).ok());
 
   auto attacker = ConnectTcp("127.0.0.1", server.port());
@@ -314,7 +357,7 @@ TEST(ReactorAdversarialTest, ShutdownDrainsResponseStillBeingComputed) {
   MetricsRegistry metrics;
   SlowService service;
   auto server =
-      std::make_unique<SchedServer>(&service, ReactorOptions(&metrics, true));
+      std::make_unique<SchedServer>(&service, ReactorOptions(&metrics));
   ASSERT_TRUE(server->Start("127.0.0.1", 0).ok());
 
   auto conn = ConnectTcp("127.0.0.1", server->port());
@@ -337,7 +380,7 @@ TEST(ReactorAdversarialTest, ShutdownDrainsResponseStillBeingComputed) {
 TEST(ReactorAdversarialTest, WriteBacklogCapClosesStoppedReader) {
   MetricsRegistry metrics;
   BigService service;
-  SchedServerOptions options = ReactorOptions(&metrics, true);
+  SchedServerOptions options = ReactorOptions(&metrics);
   options.max_write_backlog_bytes = 64 * 1024;
   SchedServer server(&service, options);
   ASSERT_TRUE(server.Start("127.0.0.1", 0).ok());
@@ -379,7 +422,7 @@ TEST(ReactorAdversarialTest, AbortingPeerWithQueuedResponsesDoesNotKillServer) {
   // abort with an RST (SO_LINGER {on, 0}) mid-response.
   MetricsRegistry metrics;
   BigService service;
-  SchedServer server(&service, ReactorOptions(&metrics, true));
+  SchedServer server(&service, ReactorOptions(&metrics));
   ASSERT_TRUE(server.Start("127.0.0.1", 0).ok());
 
   for (int round = 0; round < 10; ++round) {
@@ -462,13 +505,13 @@ struct FdLimitGuard {
 /// with the fd table nearly exhausted, accept fails with EMFILE; the
 /// server must count it, back off, keep serving existing connections, and
 /// recover once descriptors free up.
-void RunFdExhaustion(bool reactor) {
+TEST(ReactorAdversarialTest, ReactorAcceptSurvivesFdExhaustion) {
   const int used = CountOpenFds();
   ASSERT_GT(used, 0);
   FdLimitGuard guard;
   MetricsRegistry metrics;
   TransformService service;
-  SchedServer server(&service, ReactorOptions(&metrics, reactor));
+  SchedServer server(&service, ReactorOptions(&metrics));
   ASSERT_TRUE(server.Start("127.0.0.1", 0).ok());
 
   auto survivor = SchedClient::ConnectTcp("127.0.0.1", server.port());
@@ -502,10 +545,12 @@ void RunFdExhaustion(bool reactor) {
   ASSERT_TRUE(during.ok()) << during.status().ToString();
   EXPECT_EQ(during.value(), TransformService::Transform("during pressure"));
 
-  // Free the descriptors and lift the limit: accept recovers after the
-  // backoff and fresh connections serve again.
-  hogs.clear();
+  // Lift the limit, then free the descriptors: accept recovers after the
+  // backoff and fresh connections serve again. The limit goes first
+  // because destroying a connection with the fd table full can misfire
+  // UBSan's vptr check, whose memory probe needs a free descriptor.
   ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &guard.saved), 0);
+  hogs.clear();
   auto recovered_deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
   while (true) {
@@ -528,18 +573,10 @@ void RunFdExhaustion(bool reactor) {
   EXPECT_GE(metrics.Snapshot().CounterValue("server.accept_errors"), 1u);
 }
 
-TEST(ReactorAdversarialTest, ReactorAcceptSurvivesFdExhaustion) {
-  RunFdExhaustion(/*reactor=*/true);
-}
-
-TEST(ReactorAdversarialTest, ThreadedAcceptSurvivesFdExhaustion) {
-  RunFdExhaustion(/*reactor=*/false);
-}
-
 TEST(ReactorMetricsTest, CountersAndGaugesTrackTraffic) {
   MetricsRegistry metrics;
   TransformService service;
-  SchedServer server(&service, ReactorOptions(&metrics, true));
+  SchedServer server(&service, ReactorOptions(&metrics));
   ASSERT_TRUE(server.Start("127.0.0.1", 0).ok());
 
   auto client = SchedClient::ConnectTcp("127.0.0.1", server.port());
