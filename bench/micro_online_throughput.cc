@@ -334,6 +334,7 @@ int main(int argc, char** argv) {
   int connections = -1;
   int requests = 200;
   int hold_port = -1, hold_count = -1;
+  bool unknown = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--hold-connections=", 19) == 0) {
       hold_port = std::atoi(argv[i] + 19);
@@ -343,12 +344,15 @@ int main(int argc, char** argv) {
       connections = std::atoi(argv[i] + 14);
     } else if (std::strncmp(argv[i], "--requests=", 11) == 0) {
       requests = std::atoi(argv[i] + 11);
+    } else {
+      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+      unknown = true;
     }
   }
-  if (hold_port > 0 && hold_count > 0) {
+  if (!unknown && hold_port > 0 && hold_count > 0) {
     return mrs::RunHold(hold_port, hold_count);
   }
-  if (connections < 0 || requests <= 0) {
+  if (unknown || connections < 0 || requests <= 0) {
     std::fprintf(stderr,
                  "usage: %s --connections=N [--requests=R]\n",
                  argv[0]);

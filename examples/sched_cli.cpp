@@ -456,8 +456,8 @@ int main(int argc, char** argv) {
   }
   if (algorithm == "list") {
     ListScheduleOptions options;
-    options.granularity = f;
-    options.trace = trace;
+    options.tree.granularity = f;
+    options.tree.trace = trace;
     options.pipeline = pipeline;
     exec_options.pipeline_edges = pipeline;
     auto result = ListSchedule(op_tree, *task_tree, costs.value(), params,

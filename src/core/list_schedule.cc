@@ -7,32 +7,12 @@
 
 #include "common/logging.h"
 #include "common/str_util.h"
-#include "core/malleable.h"
 #include "core/site_timeline.h"
 #include "exec/explain.h"
 
 namespace mrs {
 
 namespace {
-
-/// The cost an operator's degree is derived from (see
-/// BuildDegreePolicy::kJoinAware; identical to TREESCHEDULE's rule).
-OperatorCost SizingCost(int oid, const std::vector<OperatorCost>& costs,
-                        const std::unordered_map<int, int>& dependent_of,
-                        BuildDegreePolicy build_degree) {
-  const OperatorCost& own = costs[static_cast<size_t>(oid)];
-  if (build_degree == BuildDegreePolicy::kJoinAware) {
-    auto it = dependent_of.find(oid);
-    if (it != dependent_of.end()) {
-      OperatorCost joint = own;
-      const OperatorCost& dep = costs[static_cast<size_t>(it->second)];
-      joint.processing += dep.processing;
-      joint.data_bytes += dep.data_bytes;
-      return joint;
-    }
-  }
-  return own;
-}
 
 /// Replays a TREESCHEDULE result on the shared timeline: phase k's clones
 /// all start at the sum of the earlier phase makespans. Every site's last
@@ -90,42 +70,19 @@ ListScheduleResult AlignedFallback(const TreeScheduleResult& tree,
 }
 
 /// The greedy virtual-time event loop (steps 1-4 of the header comment),
-/// without either guard. `pipeline` enables the
-/// rate-matched, stage-ordered round described at
-/// ListScheduleOptions::pipeline; `trace` is the sink for round spans
-/// (null for the shadow baseline runs the guards make).
-Result<ListScheduleResult> GreedyListSchedule(
-    const OperatorTree& op_tree, const TaskTree& task_tree,
-    const std::vector<OperatorCost>& costs, const CostParams& params,
-    const MachineConfig& config, const OverlapUsageModel& usage,
-    const ListScheduleOptions& options, bool pipeline, TraceSink* trace) {
-  const std::vector<WorkVector>* external = options.list_options.base_load;
-  // Parallelization entry points, memoized when a cache is supplied
-  // (identical to TREESCHEDULE's, so the two engines pick the same
-  // degrees for the same readiness sets).
-  auto par_rooted = [&](const OperatorCost& cost, std::vector<int> home) {
-    return options.cache != nullptr
-               ? options.cache->Rooted(cost, std::move(home))
-               : ParallelizeRooted(cost, params, usage, std::move(home),
-                                   config.num_sites);
-  };
-  auto par_floating = [&](const OperatorCost& cost) {
-    return options.cache != nullptr
-               ? options.cache->Floating(cost)
-               : ParallelizeFloating(cost, params, usage, options.granularity,
-                                     config.num_sites);
-  };
-  auto par_at_degree = [&](const OperatorCost& cost, int degree) {
-    return options.cache != nullptr
-               ? options.cache->AtDegree(cost, degree)
-               : ParallelizeAtDegree(cost, params, usage, degree,
-                                     config.num_sites);
-  };
-
-  std::unordered_map<int, int> dependent_of;
-  for (const PhysicalOp& op : op_tree.ops()) {
-    if (op.blocking_input >= 0) dependent_of[op.blocking_input] = op.id;
-  }
+/// without either guard. `pipeline` enables the rate-matched,
+/// stage-ordered round described at ListScheduleOptions::pipeline; `trace`
+/// is the sink for round spans (null for the shadow baseline runs the
+/// guards make).
+Result<ListScheduleResult> GreedyListSchedule(const Allotment& allotment,
+                                              const TaskTree& task_tree,
+                                              bool pipeline,
+                                              TraceSink* trace) {
+  const OperatorTree& op_tree = allotment.op_tree();
+  const MachineConfig& config = allotment.machine();
+  const OperatorScheduleOptions& list_options =
+      allotment.options().list_options;
+  const std::vector<WorkVector>* external = list_options.base_load;
   std::unordered_map<int, int> op_task;
   for (const QueryTask& task : task_tree.tasks()) {
     for (int oid : task.ops) op_task[oid] = task.id;
@@ -158,79 +115,19 @@ Result<ListScheduleResult> GreedyListSchedule(
   while (true) {
     if (!ready.empty()) {
       SpanTimer round_span(trace, "list_place", result.rounds);
-      // 1. Parallelize the ready tasks' operators (TREESCHEDULE's rules,
-      // applied to a readiness wave instead of a shelf).
+      // 1. Parallelize the ready tasks' operators (the TREESCHEDULE
+      // allotment, applied to a readiness wave instead of a shelf).
       std::vector<int> op_ids;
       for (int tid : ready) {
         const QueryTask& task = task_tree.task(tid);
         op_ids.insert(op_ids.end(), task.ops.begin(), task.ops.end());
         result.tasks[static_cast<size_t>(tid)].start = t;
       }
-      std::vector<ParallelizedOp> round_ops;
-      std::vector<int> floating_ids;
-      round_ops.reserve(op_ids.size());
-      for (int oid : op_ids) {
-        const PhysicalOp& op = op_tree.op(oid);
-        const OperatorCost& cost = costs[static_cast<size_t>(oid)];
-        if (op.blocking_input >= 0) {
-          auto home_it = home_of.find(op.blocking_input);
-          if (home_it == home_of.end() || home_it->second.empty()) {
-            return Status::Internal(
-                StrFormat("blocking producer op%d of op%d not scheduled in "
-                          "an earlier round",
-                          op.blocking_input, oid));
-          }
-          auto rooted = par_rooted(cost, home_it->second);
-          if (!rooted.ok()) return rooted.status();
-          round_ops.push_back(std::move(rooted).value());
-        } else {
-          floating_ids.push_back(oid);
-        }
-      }
-      if (options.policy == ParallelizationPolicy::kMalleable) {
-        std::vector<OperatorCost> sizing;
-        sizing.reserve(floating_ids.size());
-        for (int oid : floating_ids) {
-          sizing.push_back(
-              SizingCost(oid, costs, dependent_of, options.build_degree));
-        }
-        SpanTimer malleable_span(trace, "malleable_select", result.rounds);
-        auto selection = SelectMalleableParallelization(
-            sizing, round_ops, params, usage, config.num_sites);
-        if (!selection.ok()) return selection.status();
-        if (malleable_span.active()) {
-          malleable_span.AttrInt("floating_ops",
-                                 static_cast<int64_t>(floating_ids.size()));
-          malleable_span.AttrDouble("lower_bound_ms", selection->lower_bound);
-        }
-        malleable_span.End();
-        for (size_t i = 0; i < floating_ids.size(); ++i) {
-          auto op = par_at_degree(costs[static_cast<size_t>(floating_ids[i])],
-                                  selection->degrees[i]);
-          if (!op.ok()) return op.status();
-          round_ops.push_back(std::move(op).value());
-        }
-      } else {
-        for (int oid : floating_ids) {
-          const OperatorCost& own = costs[static_cast<size_t>(oid)];
-          const bool joint_sizing =
-              options.build_degree == BuildDegreePolicy::kJoinAware &&
-              dependent_of.find(oid) != dependent_of.end();
-          auto sized = par_floating(
-              joint_sizing
-                  ? SizingCost(oid, costs, dependent_of, options.build_degree)
-                  : own);
-          if (!sized.ok()) return sized.status();
-          const int degree = sized->degree;
-          if (joint_sizing || options.cache != nullptr) {
-            auto op = par_at_degree(own, degree);
-            if (!op.ok()) return op.status();
-            round_ops.push_back(std::move(op).value());
-          } else {
-            round_ops.push_back(std::move(sized).value());
-          }
-        }
-      }
+      auto parallelized = allotment.Parallelize(op_ids, home_of, trace,
+                                                result.rounds,
+                                                /*degree_span=*/nullptr);
+      if (!parallelized.ok()) return parallelized.status();
+      std::vector<ParallelizedOp> round_ops = std::move(parallelized).value();
 
       if (pipeline) {
         // Rate matching (arxiv 1403.7729's pipelined extension): a task is
@@ -248,14 +145,14 @@ Result<ListScheduleResult> GreedyListSchedule(
         }
         for (ParallelizedOp& op : round_ops) {
           if (op.rooted || op.degree <= 1) continue;
-          if (dependent_of.find(op.op_id) != dependent_of.end()) continue;
-          const OperatorCost& own = costs[static_cast<size_t>(op.op_id)];
-          const int matched =
-              RateMatchedDegree(own, params, usage,
-                                bottleneck.at(op_task.at(op.op_id)),
-                                op.degree);
+          if (allotment.HasBlockingDependent(op.op_id)) continue;
+          const OperatorCost& own =
+              allotment.costs()[static_cast<size_t>(op.op_id)];
+          const int matched = RateMatchedDegree(
+              own, allotment.params(), allotment.usage(),
+              bottleneck.at(op_task.at(op.op_id)), op.degree);
           if (matched == op.degree) continue;
-          auto lowered = par_at_degree(own, matched);
+          auto lowered = allotment.AtDegree(own, matched);
           if (!lowered.ok()) return lowered.status();
           op = std::move(lowered).value();
         }
@@ -320,7 +217,7 @@ Result<ListScheduleResult> GreedyListSchedule(
       std::vector<char> touched(static_cast<size_t>(config.num_sites), 0);
       int64_t round_clones = 0;
       for (std::vector<ParallelizedOp>& stage_ops : stages) {
-        OperatorScheduleOptions round_options = options.list_options;
+        OperatorScheduleOptions round_options = list_options;
         round_options.base_load = &residual;
         auto round_schedule = OperatorSchedule(stage_ops, config.num_sites,
                                                config.dims, round_options);
@@ -434,19 +331,13 @@ Result<ListScheduleResult> GreedyListSchedule(
 
 /// Dominance guard: never worse than TREESCHEDULE (see
 /// ListScheduleOptions::tree_guard).
-Status ApplyTreeGuard(const OperatorTree& op_tree, const TaskTree& task_tree,
-                      const std::vector<OperatorCost>& costs,
-                      const CostParams& params, const MachineConfig& config,
-                      const OverlapUsageModel& usage,
-                      const ListScheduleOptions& options,
+Status ApplyTreeGuard(const Allotment& allotment, const TaskTree& task_tree,
                       ListScheduleResult* result) {
-  TreeScheduleOptions tree_options;
-  tree_options.granularity = options.granularity;
-  tree_options.policy = options.policy;
-  tree_options.build_degree = options.build_degree;
-  tree_options.list_options = options.list_options;
-  tree_options.cache = options.cache;
-  auto tree = TreeSchedule(op_tree, task_tree, costs, params, config, usage,
+  TreeScheduleOptions tree_options = allotment.options();
+  tree_options.trace = nullptr;  // list traces carry no tree spans
+  const MachineConfig& config = allotment.machine();
+  auto tree = TreeSchedule(allotment.op_tree(), task_tree, allotment.costs(),
+                           allotment.params(), config, allotment.usage(),
                            tree_options);
   if (!tree.ok()) return tree.status();
   result->tree_response_time = tree->response_time;
@@ -480,24 +371,14 @@ Result<ListScheduleResult> ListSchedule(const OperatorTree& op_tree,
                                         const MachineConfig& machine,
                                         const OverlapUsageModel& usage,
                                         const ListScheduleOptions& options) {
-  if (static_cast<int>(costs.size()) != op_tree.num_ops()) {
-    return Status::InvalidArgument(
-        StrFormat("costs size %zu != %d operators", costs.size(),
-                  op_tree.num_ops()));
-  }
-  MRS_RETURN_IF_ERROR(params.Validate());
-  MachineConfig config = machine;
-  MRS_RETURN_IF_ERROR(config.Validate());
-  if (options.cache != nullptr &&
-      !options.cache->CompatibleWith(params, usage.epsilon(),
-                                     options.granularity, config.num_sites)) {
-    return Status::InvalidArgument(
-        "parallelize cache was built for a different scheduling context");
-  }
+  MRS_ASSIGN_OR_RETURN(
+      const Allotment allotment,
+      Allotment::Create(op_tree, costs, params, machine, usage, options.tree));
+  const MachineConfig& config = allotment.machine();
   if (task_tree.num_tasks() == 0) {
     return Status::InvalidArgument("task tree has no tasks to schedule");
   }
-  const std::vector<WorkVector>* external = options.list_options.base_load;
+  const std::vector<WorkVector>* external = options.tree.list_options.base_load;
   if (external != nullptr) {
     if (static_cast<int>(external->size()) != config.num_sites) {
       return Status::InvalidArgument(
@@ -513,24 +394,20 @@ Result<ListScheduleResult> ListSchedule(const OperatorTree& op_tree,
     }
   }
 
-  TraceSink* const trace = options.trace;
+  TraceSink* const trace = options.tree.trace;
   SpanTimer call_span(trace, "list_schedule");
 
   ListScheduleResult result;
   if (!options.pipeline) {
-    auto plain = GreedyListSchedule(op_tree, task_tree, costs, params, config,
-                                    usage, options,
+    auto plain = GreedyListSchedule(allotment, task_tree,
                                     /*pipeline=*/false, trace);
     if (!plain.ok()) return plain.status();
     result = std::move(plain).value();
     if (options.tree_guard) {
-      MRS_RETURN_IF_ERROR(ApplyTreeGuard(op_tree, task_tree, costs, params,
-                                         config, usage, options,
-                                         &result));
+      MRS_RETURN_IF_ERROR(ApplyTreeGuard(allotment, task_tree, &result));
     }
   } else {
-    auto piped = GreedyListSchedule(op_tree, task_tree, costs, params, config,
-                                    usage, options,
+    auto piped = GreedyListSchedule(allotment, task_tree,
                                     /*pipeline=*/true, trace);
     if (!piped.ok()) return piped.status();
     result = std::move(piped).value();
@@ -538,15 +415,12 @@ Result<ListScheduleResult> ListSchedule(const OperatorTree& op_tree,
     if (options.pipeline_guard) {
       // Shadow task-wave baseline (untraced, itself tree-guarded when
       // tree_guard is on): the LIST side of PIPELINED <= LIST <= TREE.
-      auto plain = GreedyListSchedule(op_tree, task_tree, costs, params,
-                                      config, usage, options,
+      auto plain = GreedyListSchedule(allotment, task_tree,
                                       /*pipeline=*/false, /*trace=*/nullptr);
       if (!plain.ok()) return plain.status();
       ListScheduleResult baseline = std::move(plain).value();
       if (options.tree_guard) {
-        MRS_RETURN_IF_ERROR(ApplyTreeGuard(op_tree, task_tree, costs, params,
-                                           config, usage, options,
-                                           &baseline));
+        MRS_RETURN_IF_ERROR(ApplyTreeGuard(allotment, task_tree, &baseline));
       }
       result.tree_response_time = baseline.tree_response_time;
       result.list_makespan = baseline.makespan;
@@ -557,9 +431,7 @@ Result<ListScheduleResult> ListSchedule(const OperatorTree& op_tree,
         result = std::move(baseline);
       }
     } else if (options.tree_guard) {
-      MRS_RETURN_IF_ERROR(ApplyTreeGuard(op_tree, task_tree, costs, params,
-                                         config, usage, options,
-                                         &result));
+      MRS_RETURN_IF_ERROR(ApplyTreeGuard(allotment, task_tree, &result));
     }
   }
 
@@ -569,16 +441,9 @@ Result<ListScheduleResult> ListSchedule(const OperatorTree& op_tree,
     call_span.AttrDouble("makespan_ms", result.makespan);
     call_span.AttrInt("fallback", result.used_tree_fallback ? 1 : 0);
     call_span.AttrInt("critical_site", result.critical_site);
-    if (result.load_bound && result.critical_resource >= 0) {
-      const size_t r = static_cast<size_t>(result.critical_resource);
-      call_span.Attr("eq3_binding",
-                     StrFormat("congestion:%s",
-                               r < config.resource_names.size()
-                                   ? config.resource_names[r].c_str()
-                                   : StrFormat("r%zu", r).c_str()));
-    } else {
-      call_span.Attr("eq3_binding", "t_seq");
-    }
+    call_span.Attr("eq3_binding",
+                   Eq3BindingLabel(result.load_bound,
+                                   result.critical_resource, config));
     if (options.pipeline) {
       call_span.AttrInt("pipelined", result.pipelined ? 1 : 0);
       call_span.AttrInt("list_fallback", result.used_list_fallback ? 1 : 0);

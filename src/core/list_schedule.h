@@ -10,8 +10,6 @@
 #include "core/tree_schedule.h"
 #include "cost/cost_model.h"
 #include "cost/parallelize.h"
-#include "cost/parallelize_cache.h"
-#include "exec/trace.h"
 #include "plan/operator_tree.h"
 #include "plan/task_tree.h"
 #include "resource/machine.h"
@@ -20,27 +18,23 @@
 namespace mrs {
 
 struct ListScheduleOptions {
-  /// Granularity parameter f of the CG_f condition (ignored by kMalleable).
-  double granularity = 0.7;
-  ParallelizationPolicy policy = ParallelizationPolicy::kCoarseGrain;
-  BuildDegreePolicy build_degree = BuildDegreePolicy::kJoinAware;
-  /// Clone ordering / site selection knobs forwarded to the per-round
-  /// OPERATORSCHEDULE pass (least-loaded selection then runs over the
-  /// *residual* site load at the round's virtual time). Its optional
-  /// base_load is the remaining work of co-resident queries per site,
-  /// treated as static over this query's horizon: added into every
-  /// placement round's residual (so the least-loaded rule avoids busy
-  /// sites) and forwarded to the tree_guard's TREESCHEDULE. It must hold
-  /// exactly num_sites vectors of the machine's dims.
-  OperatorScheduleOptions list_options;
-  /// Optional memoized parallelization cache (not owned); same
-  /// compatibility contract as TreeScheduleOptions::cache.
-  ParallelizeCache* cache = nullptr;
-  /// Optional trace sink (not owned): one `list_place` span per placement
-  /// round plus a whole-call `list_schedule` span carrying the makespan,
-  /// the eq. (3) binding term of the critical site, and whether the
-  /// barrier-aligned guard fired.
-  TraceSink* trace = nullptr;
+  /// The knobs LISTSCHEDULE shares with TREESCHEDULE:
+  ///  * granularity, policy, build_degree: each readiness wave is
+  ///    parallelized by the same Allotment as a TREESCHEDULE phase;
+  ///  * list_options: clone ordering / site selection of the per-round
+  ///    OPERATORSCHEDULE pass (least-loaded selection then runs over the
+  ///    *residual* site load at the round's virtual time). Its optional
+  ///    base_load is the remaining work of co-resident queries per site,
+  ///    treated as static over this query's horizon: added into every
+  ///    placement round's residual (so the least-loaded rule avoids busy
+  ///    sites) and forwarded to the tree_guard's TREESCHEDULE. It must
+  ///    hold exactly num_sites vectors of the machine's dims;
+  ///  * cache: same compatibility contract as for TREESCHEDULE;
+  ///  * trace: one `list_place` span per placement round plus a
+  ///    whole-call `list_schedule` span carrying the makespan, the eq. (3)
+  ///    binding term of the critical site, and whether the barrier-aligned
+  ///    guard fired. The tree_guard's TREESCHEDULE runs untraced.
+  TreeScheduleOptions tree;
   /// Intra-task pipelined parallelism (arxiv 1403.7729's extension of the
   /// model): treat each ready task as the producer/consumer pipeline the
   /// plan layer says it is, instead of an undifferentiated wave. Two
@@ -140,10 +134,10 @@ struct ListScheduleResult {
 ///   1. a query task becomes *ready* when every child task has finished
 ///      (blocking edges of the task tree; leaves are ready at time 0);
 ///   2. at each readiness instant t the ready tasks' operators are
-///      parallelized exactly like TREESCHEDULE parallelizes a phase
-///      (constraint B roots blocked operators at their producer's home,
-///      floating degrees via CG_f or the §7 malleable selection), then
-///      list-scheduled onto the sites with OPERATORSCHEDULE, with the
+///      parallelized by the Allotment that parallelizes a TREESCHEDULE
+///      phase (constraint B roots blocked operators at their producer's
+///      home, floating degrees via CG_f or the §7 malleable selection),
+///      then list-scheduled onto the sites with OPERATORSCHEDULE, with the
 ///      *residual* work of mid-flight clones as the base load — the
 ///      least-loaded rule runs over the time-varying l(R_s(t)) instead of
 ///      a per-phase snapshot;

@@ -139,38 +139,19 @@ Result<MemoryAwareResult> MemoryAwareTreeSchedule(
     const std::vector<OperatorCost>& costs, const CostParams& params,
     const MachineConfig& machine, const OverlapUsageModel& usage,
     const TreeScheduleOptions& options, const MemoryOptions& memory) {
-  if (static_cast<int>(costs.size()) != op_tree.num_ops()) {
-    return Status::InvalidArgument(
-        StrFormat("costs size %zu != %d operators", costs.size(),
-                  op_tree.num_ops()));
-  }
   if (memory.site_memory_bytes <= 0 || memory.hash_table_overhead < 1.0) {
     return Status::InvalidArgument("invalid memory options");
   }
-  MRS_RETURN_IF_ERROR(params.Validate());
-  MachineConfig config = machine;
-  MRS_RETURN_IF_ERROR(config.Validate());
-
-  std::unordered_map<int, int> dependent_of;
-  for (const auto& op : op_tree.ops()) {
-    if (op.blocking_input >= 0) {
-      dependent_of[op.blocking_input] = op.id;
-    }
+  if (options.policy != ParallelizationPolicy::kCoarseGrain) {
+    // The memory floor raises a build's CG_f degree; it has no meaning
+    // for a malleable selection.
+    return Status::InvalidArgument(
+        "the memory-aware schedule supports only the kCoarseGrain policy");
   }
-  auto sizing_cost = [&](int oid) {
-    const OperatorCost& own = costs[static_cast<size_t>(oid)];
-    if (options.build_degree == BuildDegreePolicy::kJoinAware) {
-      auto it = dependent_of.find(oid);
-      if (it != dependent_of.end()) {
-        OperatorCost joint = own;
-        const OperatorCost& dep = costs[static_cast<size_t>(it->second)];
-        joint.processing += dep.processing;
-        joint.data_bytes += dep.data_bytes;
-        return joint;
-      }
-    }
-    return own;
-  };
+  MRS_ASSIGN_OR_RETURN(
+      const Allotment allotment,
+      Allotment::Create(op_tree, costs, params, machine, usage, options));
+  const MachineConfig& config = allotment.machine();
   // Memory-resident state materialized by an operator (hash/group tables;
   // 0 for disk-resident sorted runs and stateless operators).
   auto table_bytes = [&](int op_id) {
@@ -234,15 +215,12 @@ Result<MemoryAwareResult> MemoryAwareTreeSchedule(
                 return Status::Internal(StrFormat(
                     "op%d scheduled before its blocking producer", oid));
               }
-              auto rooted = ParallelizeRooted(cost, params, usage, home,
-                                              config.num_sites);
+              auto rooted = allotment.Rooted(cost, std::move(home));
               if (!rooted.ok()) return rooted.status();
               ops.push_back(std::move(rooted).value());
               mem_demand.push_back(0.0);
             } else {
-              auto sized =
-                  ParallelizeFloating(sizing_cost(oid), params, usage,
-                                      options.granularity, config.num_sites);
+              auto sized = allotment.Floating(allotment.SizingCost(oid));
               if (!sized.ok()) return sized.status();
               int degree = sized->degree;
               double demand = 0.0;
@@ -256,8 +234,7 @@ Result<MemoryAwareResult> MemoryAwareTreeSchedule(
                 degree = std::min(std::max(degree, n_min), config.num_sites);
                 demand = table / static_cast<double>(degree);
               }
-              auto par = ParallelizeAtDegree(cost, params, usage, degree,
-                                             config.num_sites);
+              auto par = allotment.AtDegree(cost, degree);
               if (!par.ok()) return par.status();
               ops.push_back(std::move(par).value());
               mem_demand.push_back(demand);

@@ -69,6 +69,14 @@ struct MemoryAwareResult {
 ///    frees as earlier probes complete);
 ///  * fails with FailedPrecondition when even an empty machine cannot
 ///    hold a single table (per-site memory too small at maximum degree).
+///
+/// Degrees come from the TREESCHEDULE Allotment, which validates the
+/// inputs like TreeSchedule. Of the TreeScheduleOptions it honours
+/// `granularity`, `build_degree` and `cache`; it places with its own
+/// memory-constrained least-loaded rule and records no spans, so
+/// `list_options` and `trace` are ignored. `policy` must be kCoarseGrain
+/// (InvalidArgument otherwise): the memory floor raises a build's CG_f
+/// degree, which a malleable selection does not have.
 Result<MemoryAwareResult> MemoryAwareTreeSchedule(
     const OperatorTree& op_tree, const TaskTree& task_tree,
     const std::vector<OperatorCost>& costs, const CostParams& params,

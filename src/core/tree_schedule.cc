@@ -22,16 +22,8 @@ void AnnotateOperatorScheduleSpan(SpanTimer* span, const PhaseSchedule& phase,
   span->AttrInt("ops", static_cast<int64_t>(phase.ops.size()));
   span->AttrDouble("makespan_ms", phase.makespan);
   span->AttrInt("critical_site", exp.critical_site);
-  if (exp.load_bound && exp.critical_resource >= 0) {
-    const size_t r = static_cast<size_t>(exp.critical_resource);
-    span->Attr("eq3_binding",
-               StrFormat("congestion:%s",
-                         r < config.resource_names.size()
-                             ? config.resource_names[r].c_str()
-                             : StrFormat("r%zu", r).c_str()));
-  } else {
-    span->Attr("eq3_binding", "t_seq");
-  }
+  span->Attr("eq3_binding",
+             Eq3BindingLabel(exp.load_bound, exp.critical_resource, config));
   span->AttrInt("heaviest_op", exp.heaviest_op);
 }
 
@@ -55,13 +47,12 @@ std::string TreeScheduleResult::ToString() const {
   return out;
 }
 
-Result<PhasePlanner> PhasePlanner::Create(const OperatorTree& op_tree,
-                                          const TaskTree& task_tree,
-                                          const std::vector<OperatorCost>& costs,
-                                          const CostParams& params,
-                                          const MachineConfig& machine,
-                                          const OverlapUsageModel& usage,
-                                          const TreeScheduleOptions& options) {
+Result<Allotment> Allotment::Create(const OperatorTree& op_tree,
+                                    const std::vector<OperatorCost>& costs,
+                                    const CostParams& params,
+                                    const MachineConfig& machine,
+                                    const OverlapUsageModel& usage,
+                                    const TreeScheduleOptions& options) {
   if (static_cast<int>(costs.size()) != op_tree.num_ops()) {
     return Status::InvalidArgument(
         StrFormat("costs size %zu != %d operators", costs.size(),
@@ -81,18 +72,16 @@ Result<PhasePlanner> PhasePlanner::Create(const OperatorTree& op_tree,
     return Status::InvalidArgument(
         "parallelize cache was built for a different scheduling context");
   }
-  return PhasePlanner(op_tree, task_tree, costs, params, std::move(config),
-                      usage, options);
+  return Allotment(op_tree, costs, params, std::move(config), usage,
+                   options);
 }
 
-PhasePlanner::PhasePlanner(const OperatorTree& op_tree,
-                           const TaskTree& task_tree,
-                           const std::vector<OperatorCost>& costs,
-                           const CostParams& params, MachineConfig config,
-                           const OverlapUsageModel& usage,
-                           const TreeScheduleOptions& options)
+Allotment::Allotment(const OperatorTree& op_tree,
+                     const std::vector<OperatorCost>& costs,
+                     const CostParams& params, MachineConfig config,
+                     const OverlapUsageModel& usage,
+                     const TreeScheduleOptions& options)
     : op_tree_(&op_tree),
-      task_tree_(&task_tree),
       costs_(&costs),
       params_(params),
       config_(std::move(config)),
@@ -105,9 +94,7 @@ PhasePlanner::PhasePlanner(const OperatorTree& op_tree,
   }
 }
 
-int PhasePlanner::num_phases() const { return task_tree_->num_phases(); }
-
-OperatorCost PhasePlanner::SizingCost(int oid) const {
+OperatorCost Allotment::SizingCost(int oid) const {
   const OperatorCost& own = (*costs_)[static_cast<size_t>(oid)];
   if (options_.build_degree == BuildDegreePolicy::kJoinAware) {
     auto it = dependent_of_.find(oid);
@@ -122,10 +109,143 @@ OperatorCost PhasePlanner::SizingCost(int oid) const {
   return own;
 }
 
+Result<ParallelizedOp> Allotment::Rooted(const OperatorCost& cost,
+                                         std::vector<int> home) const {
+  return options_.cache != nullptr
+             ? options_.cache->Rooted(cost, std::move(home))
+             : ParallelizeRooted(cost, params_, usage_, std::move(home),
+                                 config_.num_sites);
+}
+
+Result<ParallelizedOp> Allotment::Floating(const OperatorCost& cost) const {
+  return options_.cache != nullptr
+             ? options_.cache->Floating(cost)
+             : ParallelizeFloating(cost, params_, usage_,
+                                   options_.granularity, config_.num_sites);
+}
+
+Result<ParallelizedOp> Allotment::AtDegree(const OperatorCost& cost,
+                                           int degree) const {
+  return options_.cache != nullptr
+             ? options_.cache->AtDegree(cost, degree)
+             : ParallelizeAtDegree(cost, params_, usage_, degree,
+                                   config_.num_sites);
+}
+
+Result<std::vector<ParallelizedOp>> Allotment::Parallelize(
+    const std::vector<int>& op_ids,
+    const std::unordered_map<int, std::vector<int>>& home_of,
+    TraceSink* trace, int span_index, SpanTimer* degree_span) const {
+  std::vector<ParallelizedOp> ops;
+  std::vector<int> floating_ids;
+  ops.reserve(op_ids.size());
+  for (int oid : op_ids) {
+    const int producer = op_tree_->op(oid).blocking_input;
+    if (producer >= 0) {
+      // Constraint B: the op executes where its blocking producer
+      // materialized its state (hash table / sorted runs / group table);
+      // that producer was placed before it.
+      auto home_it = home_of.find(producer);
+      if (home_it == home_of.end() || home_it->second.empty()) {
+        return Status::Internal(StrFormat(
+            "blocking producer op%d of op%d not placed before it", producer,
+            oid));
+      }
+      auto rooted = Rooted((*costs_)[static_cast<size_t>(oid)],
+                           home_it->second);
+      if (!rooted.ok()) return rooted.status();
+      ops.push_back(std::move(rooted).value());
+      if (degree_span != nullptr) {
+        degree_span->Attr(StrFormat("op%d.degree", oid),
+                          StrFormat("%d:rooted", ops.back().degree));
+      }
+    } else {
+      floating_ids.push_back(oid);
+    }
+  }
+
+  // Fix the parallelization of the floating operators. The *degree* is
+  // derived from the sizing cost (join-aware for builds); the clones are
+  // split from the operator's own cost.
+  if (options_.policy == ParallelizationPolicy::kMalleable) {
+    std::vector<OperatorCost> sizing;
+    sizing.reserve(floating_ids.size());
+    for (int oid : floating_ids) sizing.push_back(SizingCost(oid));
+    SpanTimer malleable_span(trace, "malleable_select", span_index);
+    auto selection = SelectMalleableParallelization(sizing, ops, params_,
+                                                    usage_, config_.num_sites);
+    if (!selection.ok()) return selection.status();
+    if (malleable_span.active()) {
+      malleable_span.AttrInt("floating_ops",
+                             static_cast<int64_t>(floating_ids.size()));
+      malleable_span.AttrDouble("lower_bound_ms", selection->lower_bound);
+    }
+    malleable_span.End();
+    for (size_t i = 0; i < floating_ids.size(); ++i) {
+      auto op = AtDegree((*costs_)[static_cast<size_t>(floating_ids[i])],
+                         selection->degrees[i]);
+      if (!op.ok()) return op.status();
+      ops.push_back(std::move(op).value());
+      if (degree_span != nullptr) {
+        degree_span->Attr(StrFormat("op%d.degree", floating_ids[i]),
+                          StrFormat("%d:malleable", selection->degrees[i]));
+      }
+    }
+    return ops;
+  }
+  for (int oid : floating_ids) {
+    const OperatorCost& own = (*costs_)[static_cast<size_t>(oid)];
+    // Joint sizing only changes the cost for builds under kJoinAware; for
+    // every other floating op SizingCost returns `own` unchanged.
+    const bool joint_sizing =
+        options_.build_degree == BuildDegreePolicy::kJoinAware &&
+        HasBlockingDependent(oid);
+    auto sized = Floating(joint_sizing ? SizingCost(oid) : own);
+    if (!sized.ok()) return sized.status();
+    const int degree = sized->degree;
+    if (joint_sizing || options_.cache != nullptr) {
+      auto op = AtDegree(own, degree);
+      if (!op.ok()) return op.status();
+      ops.push_back(std::move(op).value());
+    } else {
+      // Sizing cost == own cost and no cache: ParallelizeFloating already
+      // returned MakeParallelized(own, degree) — reusing it is
+      // bit-identical to re-splitting via ParallelizeAtDegree. (With a
+      // cache we still call AtDegree so memoization sees both keys.)
+      ops.push_back(std::move(sized).value());
+    }
+    if (degree_span != nullptr) {
+      // Chosen degree vs. the Prop. 4.1 cap the CG_f rule derived it from
+      // (on the sizing cost: join-aware for builds).
+      const OperatorCost sc = SizingCost(oid);
+      const int n_max = MaxCoarseGrainDegree(
+          sc.ProcessingArea(), sc.data_bytes, params_, options_.granularity);
+      degree_span->Attr(StrFormat("op%d.degree", oid),
+                        StrFormat("%d/nmax=%d", degree, n_max));
+    }
+  }
+  return ops;
+}
+
+Result<PhasePlanner> PhasePlanner::Create(const OperatorTree& op_tree,
+                                          const TaskTree& task_tree,
+                                          const std::vector<OperatorCost>& costs,
+                                          const CostParams& params,
+                                          const MachineConfig& machine,
+                                          const OverlapUsageModel& usage,
+                                          const TreeScheduleOptions& options) {
+  MRS_ASSIGN_OR_RETURN(
+      Allotment allotment,
+      Allotment::Create(op_tree, costs, params, machine, usage, options));
+  return PhasePlanner(std::move(allotment), task_tree);
+}
+
+int PhasePlanner::num_phases() const { return task_tree_->num_phases(); }
+
 Status PhasePlanner::Prepare() {
-  ParallelizeCache* const cache = options_.cache;
-  if (options_.policy != ParallelizationPolicy::kCoarseGrain ||
-      cache == nullptr) {
+  const TreeScheduleOptions& options = allotment_.options();
+  if (options.policy != ParallelizationPolicy::kCoarseGrain ||
+      options.cache == nullptr) {
     return Status::OK();
   }
   // A rooted op's home is its producer's placement, one site per clone,
@@ -133,19 +253,19 @@ Status PhasePlanner::Prepare() {
   std::unordered_map<int, int> degree_of;
   for (int k = 0; k < num_phases(); ++k) {
     for (int oid : task_tree_->PhaseOps(k)) {
-      const int producer = op_tree_->op(oid).blocking_input;
+      const int producer = allotment_.op_tree().op(oid).blocking_input;
       int degree = 0;
       if (producer >= 0) {
         auto it = degree_of.find(producer);
         if (it == degree_of.end()) continue;  // NextPhase reports it
         degree = it->second;
       } else {
-        auto sized = cache->Floating(SizingCost(oid));
+        auto sized = allotment_.Floating(allotment_.SizingCost(oid));
         if (!sized.ok()) return sized.status();
         degree = sized->degree;
       }
-      auto split =
-          cache->AtDegree((*costs_)[static_cast<size_t>(oid)], degree);
+      auto split = allotment_.AtDegree(
+          allotment_.costs()[static_cast<size_t>(oid)], degree);
       if (!split.ok()) return split.status();
       degree_of[oid] = degree;
     }
@@ -160,137 +280,32 @@ Result<PhaseSchedule> PhasePlanner::NextPhase(
         StrFormat("all %d phases already scheduled", num_phases()));
   }
   const int k = next_;
-  TraceSink* const trace = options_.trace;
-
-  // Parallelization entry points, memoized when a cache is supplied.
-  auto par_rooted = [&](const OperatorCost& cost, std::vector<int> home) {
-    return options_.cache != nullptr
-               ? options_.cache->Rooted(cost, std::move(home))
-               : ParallelizeRooted(cost, params_, usage_, std::move(home),
-                                   config_.num_sites);
-  };
-  auto par_floating = [&](const OperatorCost& cost) {
-    return options_.cache != nullptr
-               ? options_.cache->Floating(cost)
-               : ParallelizeFloating(cost, params_, usage_,
-                                     options_.granularity, config_.num_sites);
-  };
-  auto par_at_degree = [&](const OperatorCost& cost, int degree) {
-    return options_.cache != nullptr
-               ? options_.cache->AtDegree(cost, degree)
-               : ParallelizeAtDegree(cost, params_, usage_, degree,
-                                     config_.num_sites);
-  };
+  const TreeScheduleOptions& options = allotment_.options();
+  TraceSink* const trace = options.trace;
+  ParallelizeCache* const cache = options.cache;
 
   SpanTimer par_span(trace, "parallelize", k);
   uint64_t phase_hits0 = 0;
   uint64_t phase_misses0 = 0;
-  if (par_span.active() && options_.cache != nullptr) {
-    phase_hits0 = options_.cache->counter().hits();
-    phase_misses0 = options_.cache->counter().misses();
+  if (par_span.active() && cache != nullptr) {
+    phase_hits0 = cache->counter().hits();
+    phase_misses0 = cache->counter().misses();
   }
-  std::vector<int> op_ids = task_tree_->PhaseOps(k);
-  std::vector<ParallelizedOp> ops;
-  std::vector<int> floating_ids;
-  ops.reserve(op_ids.size());
-  for (int oid : op_ids) {
-    const PhysicalOp& op = op_tree_->op(oid);
-    const OperatorCost& cost = (*costs_)[static_cast<size_t>(oid)];
-    if (op.blocking_input >= 0) {
-      // Constraint B: the op executes where its blocking producer
-      // materialized its state (hash table / sorted runs / group
-      // table); that producer always ran in an earlier phase.
-      auto home_it = home_of_.find(op.blocking_input);
-      if (home_it == home_of_.end() || home_it->second.empty()) {
-        return Status::Internal(
-            StrFormat("blocking producer op%d of op%d not scheduled in "
-                      "an earlier phase",
-                      op.blocking_input, oid));
-      }
-      auto rooted = par_rooted(cost, home_it->second);
-      if (!rooted.ok()) return rooted.status();
-      ops.push_back(std::move(rooted).value());
-      if (par_span.active()) {
-        par_span.Attr(StrFormat("op%d.degree", oid),
-                      StrFormat("%d:rooted", ops.back().degree));
-      }
-    } else {
-      floating_ids.push_back(oid);
-    }
-  }
-
-  // Fix the parallelization of the floating operators. The *degree* is
-  // derived from the sizing cost (join-aware for builds); the clones are
-  // split from the operator's own cost.
-  if (options_.policy == ParallelizationPolicy::kMalleable) {
-    std::vector<OperatorCost> sizing;
-    sizing.reserve(floating_ids.size());
-    for (int oid : floating_ids) sizing.push_back(SizingCost(oid));
-    SpanTimer malleable_span(trace, "malleable_select", k);
-    auto selection = SelectMalleableParallelization(sizing, ops, params_,
-                                                    usage_, config_.num_sites);
-    if (!selection.ok()) return selection.status();
-    if (malleable_span.active()) {
-      malleable_span.AttrInt("floating_ops",
-                             static_cast<int64_t>(floating_ids.size()));
-      malleable_span.AttrDouble("lower_bound_ms", selection->lower_bound);
-    }
-    malleable_span.End();
-    for (size_t i = 0; i < floating_ids.size(); ++i) {
-      auto op = par_at_degree((*costs_)[static_cast<size_t>(floating_ids[i])],
-                              selection->degrees[i]);
-      if (!op.ok()) return op.status();
-      ops.push_back(std::move(op).value());
-      if (par_span.active()) {
-        par_span.Attr(StrFormat("op%d.degree", floating_ids[i]),
-                      StrFormat("%d:malleable", selection->degrees[i]));
-      }
-    }
-  } else {
-    for (int oid : floating_ids) {
-      const OperatorCost& own = (*costs_)[static_cast<size_t>(oid)];
-      // Joint sizing only changes the cost for builds under kJoinAware;
-      // for every other floating op SizingCost returns `own` unchanged.
-      const bool joint_sizing =
-          options_.build_degree == BuildDegreePolicy::kJoinAware &&
-          dependent_of_.find(oid) != dependent_of_.end();
-      auto sized = par_floating(joint_sizing ? SizingCost(oid) : own);
-      if (!sized.ok()) return sized.status();
-      const int degree = sized->degree;
-      if (joint_sizing || options_.cache != nullptr) {
-        auto op = par_at_degree(own, degree);
-        if (!op.ok()) return op.status();
-        ops.push_back(std::move(op).value());
-      } else {
-        // Sizing cost == own cost and no cache: ParallelizeFloating
-        // already returned MakeParallelized(own, degree) — reusing it is
-        // bit-identical to re-splitting via ParallelizeAtDegree. (With a
-        // cache we still call AtDegree so memoization sees both keys.)
-        ops.push_back(std::move(sized).value());
-      }
-      if (par_span.active()) {
-        // Chosen degree vs. the Prop. 4.1 cap the CG_f rule derived it
-        // from (on the sizing cost: join-aware for builds).
-        const OperatorCost sc = SizingCost(oid);
-        const int n_max = MaxCoarseGrainDegree(
-            sc.ProcessingArea(), sc.data_bytes, params_, options_.granularity);
-        par_span.Attr(StrFormat("op%d.degree", oid),
-                      StrFormat("%d/nmax=%d", degree, n_max));
-      }
-    }
-  }
-  if (par_span.active() && options_.cache != nullptr) {
+  auto ops = allotment_.Parallelize(task_tree_->PhaseOps(k), home_of_, trace,
+                                    k, par_span.active() ? &par_span : nullptr);
+  if (!ops.ok()) return ops.status();
+  if (par_span.active() && cache != nullptr) {
     par_span.AttrInt(
         "cache.hits",
-        static_cast<int64_t>(options_.cache->counter().hits() - phase_hits0));
-    par_span.AttrInt("cache.misses",
-                     static_cast<int64_t>(options_.cache->counter().misses() -
-                                          phase_misses0));
+        static_cast<int64_t>(cache->counter().hits() - phase_hits0));
+    par_span.AttrInt(
+        "cache.misses",
+        static_cast<int64_t>(cache->counter().misses() - phase_misses0));
   }
   par_span.End();
 
   SpanTimer sched_span(trace, "operator_schedule", k);
-  OperatorScheduleOptions list_options = options_.list_options;
+  OperatorScheduleOptions list_options = options.list_options;
   // A per-call base load (the online scheduler's phase-instant residual)
   // overrides a static one carried in the options (the list engine's
   // tree_guard threading list_options.base_load through).
@@ -301,15 +316,17 @@ Result<PhaseSchedule> PhasePlanner::NextPhase(
     sched_span.Attr("placement",
                     list_options.site_choice == SiteChoice::kLeastLoaded
                         ? "indexed"
-                        : "linear");
+                        : "first_allowable");
   }
-  auto schedule = OperatorSchedule(ops, config_.num_sites, config_.dims,
-                                   list_options);
+  const MachineConfig& config = allotment_.machine();
+  auto schedule =
+      OperatorSchedule(*ops, config.num_sites, config.dims, list_options);
   if (!schedule.ok()) return schedule.status();
-  PhaseSchedule phase{k, std::move(ops), std::move(schedule).value(), 0.0};
+  PhaseSchedule phase{k, std::move(ops).value(), std::move(schedule).value(),
+                      0.0};
   phase.makespan = phase.schedule.Makespan();
   if (sched_span.active()) {
-    AnnotateOperatorScheduleSpan(&sched_span, phase, config_);
+    AnnotateOperatorScheduleSpan(&sched_span, phase, config);
   }
   sched_span.End();
 

@@ -3,6 +3,7 @@
 
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -90,13 +91,94 @@ struct TreeScheduleResult {
   std::string ToString() const;
 };
 
-/// Incremental per-phase driver of TREESCHEDULE: parallelizes and
-/// list-schedules one task-tree phase at a time, so a caller can
-/// interleave the phases of a query with external events. TreeSchedule()
-/// itself is a loop over NextPhase(); the online scheduler places phase
-/// k+1 of a query only when phase k completes on the virtual clock and
-/// passes the residual site load (remaining work of co-resident queries)
-/// observed at that instant, turning OPERATORSCHEDULE into the
+/// The TREESCHEDULE allotment (§5.4): the degree and clone split of every
+/// operator of a ready set. An operator with a blocking producer (a probe,
+/// a sort merge, an aggregate's emit) is rooted at its producer's home
+/// (constraint B). Every other operator is floating: it gets the CG_f
+/// degree N_max(op, f) of Prop. 4.1 (kCoarseGrain) or the §7 malleable
+/// selection (kMalleable), derived from SizingCost, and is split from its
+/// own cost. TREESCHEDULE, LISTSCHEDULE and the memory-aware engine all
+/// parallelize through this one unit; they differ only in how they place
+/// the clones and keep time. Every split goes through options.cache when
+/// one is set, which never changes a result. All referenced inputs must
+/// outlive the allotment; it is movable but not copyable.
+class Allotment {
+ public:
+  /// Validates the inputs: cost vector size, cost params, machine config,
+  /// the coarse-grain granularity f >= 0, and cache compatibility.
+  static Result<Allotment> Create(const OperatorTree& op_tree,
+                                  const std::vector<OperatorCost>& costs,
+                                  const CostParams& params,
+                                  const MachineConfig& machine,
+                                  const OverlapUsageModel& usage,
+                                  const TreeScheduleOptions& options);
+
+  Allotment(Allotment&&) = default;
+  Allotment& operator=(Allotment&&) = default;
+  Allotment(const Allotment&) = delete;
+  Allotment& operator=(const Allotment&) = delete;
+
+  /// The cost an operator's degree is derived from: under kJoinAware, a
+  /// state-materializing operator together with its blocking dependent
+  /// (see BuildDegreePolicy); otherwise the operator's own cost.
+  OperatorCost SizingCost(int oid) const;
+  /// True iff a later operator is rooted at `oid`'s home (a build, a sort
+  /// run, an aggregate's group table).
+  bool HasBlockingDependent(int oid) const {
+    return dependent_of_.count(oid) != 0;
+  }
+
+  /// ParallelizeRooted / ParallelizeFloating / ParallelizeAtDegree under
+  /// this allotment's context, memoized when a cache is set.
+  Result<ParallelizedOp> Rooted(const OperatorCost& cost,
+                                std::vector<int> home) const;
+  Result<ParallelizedOp> Floating(const OperatorCost& cost) const;
+  Result<ParallelizedOp> AtDegree(const OperatorCost& cost, int degree) const;
+
+  /// Parallelizes the ready set `op_ids`: the rooted operators first, then
+  /// the floating ones, each group in `op_ids` order. `home_of` holds the
+  /// homes of the operators placed so far; a rooted operator whose
+  /// producer is not among them fails with Internal. Under kMalleable the
+  /// selection is traced as a `malleable_select` span with index
+  /// `span_index` on `trace` (may be null). `degree_span`, when non-null,
+  /// gets one `opN.degree` attribute per operator.
+  Result<std::vector<ParallelizedOp>> Parallelize(
+      const std::vector<int>& op_ids,
+      const std::unordered_map<int, std::vector<int>>& home_of,
+      TraceSink* trace, int span_index, SpanTimer* degree_span) const;
+
+  const OperatorTree& op_tree() const { return *op_tree_; }
+  const std::vector<OperatorCost>& costs() const { return *costs_; }
+  const CostParams& params() const { return params_; }
+  /// The validated machine configuration.
+  const MachineConfig& machine() const { return config_; }
+  const OverlapUsageModel& usage() const { return usage_; }
+  const TreeScheduleOptions& options() const { return options_; }
+
+ private:
+  Allotment(const OperatorTree& op_tree,
+            const std::vector<OperatorCost>& costs, const CostParams& params,
+            MachineConfig config, const OverlapUsageModel& usage,
+            const TreeScheduleOptions& options);
+
+  const OperatorTree* op_tree_;
+  const std::vector<OperatorCost>* costs_;
+  CostParams params_;
+  MachineConfig config_;
+  OverlapUsageModel usage_;
+  TreeScheduleOptions options_;
+  /// The blocking dependent of each state-materializing operator (probe
+  /// of a build, merge of a sort run, emit of an aggregate).
+  std::unordered_map<int, int> dependent_of_;
+};
+
+/// Incremental per-phase driver of TREESCHEDULE: parallelizes (through the
+/// Allotment) and list-schedules one task-tree phase at a time, so a
+/// caller can interleave the phases of a query with external events.
+/// TreeSchedule() itself is a loop over NextPhase(); the online scheduler
+/// places phase k+1 of a query only when phase k completes on the virtual
+/// clock and passes the residual site load (remaining work of co-resident
+/// queries) observed at that instant, turning OPERATORSCHEDULE into the
 /// residual-capacity incremental variant of the multi-query follow-up.
 ///
 /// Data placement constraints propagate across the planner's own phases
@@ -105,9 +187,7 @@ struct TreeScheduleResult {
 /// movable but not copyable.
 class PhasePlanner {
  public:
-  /// Validates the inputs (cost vector size, cost params, machine config,
-  /// the coarse-grain granularity f, cache compatibility) exactly like
-  /// TreeSchedule.
+  /// Validates the inputs exactly like Allotment::Create.
   static Result<PhasePlanner> Create(const OperatorTree& op_tree,
                                      const TaskTree& task_tree,
                                      const std::vector<OperatorCost>& costs,
@@ -144,29 +224,14 @@ class PhasePlanner {
   Result<PhaseSchedule> NextPhase(
       const std::vector<WorkVector>* base_load = nullptr);
 
-  const MachineConfig& machine() const { return config_; }
+  const MachineConfig& machine() const { return allotment_.machine(); }
 
  private:
-  PhasePlanner(const OperatorTree& op_tree, const TaskTree& task_tree,
-               const std::vector<OperatorCost>& costs,
-               const CostParams& params, MachineConfig config,
-               const OverlapUsageModel& usage,
-               const TreeScheduleOptions& options);
+  PhasePlanner(Allotment allotment, const TaskTree& task_tree)
+      : allotment_(std::move(allotment)), task_tree_(&task_tree) {}
 
-  /// The cost an operator's degree of parallelism is derived from (see
-  /// BuildDegreePolicy::kJoinAware).
-  OperatorCost SizingCost(int oid) const;
-
-  const OperatorTree* op_tree_;
+  Allotment allotment_;
   const TaskTree* task_tree_;
-  const std::vector<OperatorCost>* costs_;
-  CostParams params_;
-  MachineConfig config_;
-  OverlapUsageModel usage_;
-  TreeScheduleOptions options_;
-  /// The blocking dependent of each state-materializing operator (probe
-  /// of a build, merge of a sort run, emit of an aggregate).
-  std::unordered_map<int, int> dependent_of_;
   /// Homes of operators scheduled in earlier phases (constraint B).
   std::unordered_map<int, std::vector<int>> home_of_;
   int next_ = 0;

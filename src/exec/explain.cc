@@ -7,6 +7,45 @@
 
 namespace mrs {
 
+namespace {
+
+/// Name of resource dimension `r`, or "r<r>" past the named ones.
+std::string ResourceName(const MachineConfig& machine, size_t r) {
+  return r < machine.resource_names.size() ? machine.resource_names[r]
+                                           : StrFormat("r%zu", r);
+}
+
+/// "slowest operator (T_par term)" or "resource congestion on <r>".
+std::string BindingPhrase(bool load_bound, int critical_resource,
+                          const MachineConfig& machine) {
+  if (!load_bound || critical_resource < 0) {
+    return "slowest operator (T_par term)";
+  }
+  return "resource congestion on " +
+         ResourceName(machine, static_cast<size_t>(critical_resource));
+}
+
+/// "cpu=93% disk=40% ..." over per-resource utilizations in [0, 1].
+std::string UtilizationList(const std::vector<double>& utilization,
+                            const MachineConfig& machine) {
+  std::string util;
+  for (size_t i = 0; i < utilization.size(); ++i) {
+    if (i > 0) util += " ";
+    util += StrFormat("%s=%.0f%%", ResourceName(machine, i).c_str(),
+                      utilization[i] * 100.0);
+  }
+  return util;
+}
+
+}  // namespace
+
+std::string Eq3BindingLabel(bool load_bound, int critical_resource,
+                            const MachineConfig& machine) {
+  if (!load_bound || critical_resource < 0) return "t_seq";
+  return "congestion:" +
+         ResourceName(machine, static_cast<size_t>(critical_resource));
+}
+
 PhaseExplanation ExplainPhase(const PhaseSchedule& phase) {
   PhaseExplanation exp;
   exp.phase = phase.phase;
@@ -117,25 +156,9 @@ ListScheduleExplanation ExplainListSchedule(const ListScheduleResult& result) {
 
 std::string ListScheduleExplanation::ToString(
     const MachineConfig& machine) const {
-  std::string binding = "slowest operator (T_par term)";
-  if (load_bound && critical_resource >= 0) {
-    const size_t r = static_cast<size_t>(critical_resource);
-    binding = StrFormat(
-        "resource congestion on %s",
-        r < machine.resource_names.size()
-            ? machine.resource_names[r].c_str()
-            : StrFormat("r%d", critical_resource).c_str());
-  }
-  std::string util;
-  for (size_t i = 0; i < utilization.size(); ++i) {
-    if (i > 0) util += " ";
-    util += StrFormat(
-        "%s=%.0f%%",
-        i < machine.resource_names.size()
-            ? machine.resource_names[i].c_str()
-            : StrFormat("r%zu", i).c_str(),
-        utilization[i] * 100.0);
-  }
+  const std::string binding =
+      BindingPhrase(load_bound, critical_resource, machine);
+  const std::string util = UtilizationList(utilization, machine);
   std::string out = StrFormat(
       "list schedule explanation — makespan %s (%s, %d rounds; "
       "phased reference %s)\n",
@@ -160,25 +183,9 @@ std::string ScheduleExplanation::ToString(const MachineConfig& machine) const {
   std::string out = StrFormat("schedule explanation — response %s\n",
                               FormatMillis(response_time).c_str());
   for (const auto& p : phases) {
-    std::string binding = "slowest operator (T_par term)";
-    if (p.load_bound && p.critical_resource >= 0) {
-      const size_t r = static_cast<size_t>(p.critical_resource);
-      binding = StrFormat(
-          "resource congestion on %s",
-          r < machine.resource_names.size()
-              ? machine.resource_names[r].c_str()
-              : StrFormat("r%d", p.critical_resource).c_str());
-    }
-    std::string util;
-    for (size_t i = 0; i < p.utilization.size(); ++i) {
-      if (i > 0) util += " ";
-      util += StrFormat(
-          "%s=%.0f%%",
-          i < machine.resource_names.size()
-              ? machine.resource_names[i].c_str()
-              : StrFormat("r%zu", i).c_str(),
-          p.utilization[i] * 100.0);
-    }
+    const std::string binding =
+        BindingPhrase(p.load_bound, p.critical_resource, machine);
+    const std::string util = UtilizationList(p.utilization, machine);
     out += StrFormat(
         "  phase %d: %s; critical site s%d bound by %s; heaviest op%d; "
         "utilization %s\n",

@@ -81,6 +81,13 @@ struct ListScheduleExplanation {
 /// tracing layer to annotate OPERATORSCHEDULE spans.
 PhaseExplanation ExplainPhase(const PhaseSchedule& phase);
 
+/// The binding eq. (3) term as the trace spans label it:
+/// "congestion:<resource>" when the critical site's busiest resource binds
+/// (`load_bound` with a valid `critical_resource`; an unnamed dimension
+/// reads "r<i>"), "t_seq" when its slowest clone does.
+std::string Eq3BindingLabel(bool load_bound, int critical_resource,
+                            const MachineConfig& machine);
+
 /// Analyzes a phased schedule: ExplainPhase over every phase.
 ScheduleExplanation ExplainSchedule(const TreeScheduleResult& result);
 

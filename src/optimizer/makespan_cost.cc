@@ -228,27 +228,23 @@ double MakespanCostFn::CheapLowerBound(const SubplanBound& b,
 }
 
 Result<double> MakespanCostFn::Makespan(const PreparedPlan& p) const {
+  TreeScheduleOptions tree;
+  tree.granularity = options_.granularity;
+  tree.policy = options_.policy;
+  tree.build_degree = options_.build_degree;
+  tree.cache = options_.cache;
   if (options_.engine == OptimizerEngine::kList) {
     ListScheduleOptions opts;
-    opts.granularity = options_.granularity;
-    opts.policy = options_.policy;
-    opts.build_degree = options_.build_degree;
-    opts.cache = options_.cache;
+    opts.tree = tree;
     MRS_ASSIGN_OR_RETURN(
         ListScheduleResult result,
         ListSchedule(p.ops, p.tasks, p.costs, params_, machine_, usage_,
                      opts));
     return result.makespan;
   }
-  TreeScheduleOptions opts;
-  opts.granularity = options_.granularity;
-  opts.policy = options_.policy;
-  opts.build_degree = options_.build_degree;
-  opts.cache = options_.cache;
   MRS_ASSIGN_OR_RETURN(
       TreeScheduleResult result,
-      TreeSchedule(p.ops, p.tasks, p.costs, params_, machine_, usage_,
-                   opts));
+      TreeSchedule(p.ops, p.tasks, p.costs, params_, machine_, usage_, tree));
   return result.response_time;
 }
 

@@ -142,7 +142,7 @@ TEST(ListScheduleTest, DegreesWithinMoldableBounds) {
   PlanFixture fx = BushyFourWayFixture({60000, 45000, 70000, 30000});
   const int sites = 10;
   ListScheduleOptions options;
-  options.granularity = 0.5;
+  options.tree.granularity = 0.5;
   ListScheduleResult result = RunList(fx, sites, options);
   ASSERT_EQ(static_cast<int>(result.ops.size()), fx.op_tree.num_ops());
   for (const ParallelizedOp& op : result.ops) {
@@ -156,7 +156,7 @@ TEST(ListScheduleTest, DegreesWithinMoldableBounds) {
           fx.costs[static_cast<size_t>(op.op_id)];
       const int n_max = MaxCoarseGrainDegree(
           cost.processing.Total(), cost.data_bytes, CostParams{},
-          options.granularity);
+          options.tree.granularity);
       EXPECT_LE(op.degree, std::max(n_max, 1)) << "op " << op.op_id;
     }
   }
@@ -280,7 +280,7 @@ TEST(ListScheduleTest, DeterministicAcrossConcurrentCallers) {
 
 TEST(ListScheduleTest, MalleablePolicyProducesValidSchedules) {
   ListScheduleOptions options;
-  options.policy = ParallelizationPolicy::kMalleable;
+  options.tree.policy = ParallelizationPolicy::kMalleable;
   PlanFixture fx = BushyFourWayFixture();
   ListScheduleResult list = RunList(fx, 10, options);
   EXPECT_TRUE(list.schedule.Validate(list.ops).ok());
@@ -327,7 +327,7 @@ TEST(ListScheduleTest, ListOptionsBaseLoadIsValidatedAndHonored) {
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
 
   ListScheduleOptions options;
-  options.list_options.base_load = &load;
+  options.tree.list_options.base_load = &load;
   auto zero = ListSchedule(fx.op_tree, fx.task_tree, fx.costs, CostParams{},
                            machine, usage, options);
   ASSERT_TRUE(zero.ok()) << zero.status().ToString();

@@ -162,6 +162,21 @@ TEST(MemoryAwareTest, RejectsBadOptions) {
                    .ok());
 }
 
+TEST(MemoryAwareTest, RejectsTheMalleablePolicy) {
+  // The memory floor is defined on the CG_f degree; a malleable request
+  // must not silently get CG_f degrees back.
+  PlanFixture fx = BushyFourWayFixture();
+  OverlapUsageModel usage(0.5);
+  TreeScheduleOptions options;
+  options.policy = ParallelizationPolicy::kMalleable;
+  auto result =
+      MemoryAwareTreeSchedule(fx.op_tree, fx.task_tree, fx.costs,
+                              CostParams{}, Machine(8), usage, options,
+                              Memory(1e12));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(MemoryAwareTest, ToStringMentionsSplits) {
   PlanFixture fx = BushyFourWayFixture();
   OverlapUsageModel usage(0.5);

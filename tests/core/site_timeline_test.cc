@@ -127,26 +127,8 @@ TEST(SiteTimelineTest, TiedStartsArriveTogetherInCallerOrder) {
   EXPECT_EQ(busy, WorkVector({8.0}));
 }
 
-/// FNV-1a over `text`, folded into `*h`.
-void Fnv1a(const char* text, uint64_t* h) {
-  for (const char* c = text; *c != '\0'; ++c) {
-    *h ^= static_cast<unsigned char>(*c);
-    *h *= 1099511628211ull;
-  }
-}
-
-/// Folds one "%a"-formatted (bit-exact) double into the digest.
-void HashDouble(const char* tag, double v, uint64_t* h) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%s %a\n", tag, v);
-  Fnv1a(buf, h);
-}
-
-void HashInt(const char* tag, long long v, uint64_t* h) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%s %lld\n", tag, v);
-  Fnv1a(buf, h);
-}
+using testing_util::HashDouble;
+using testing_util::HashInt;
 
 void HashFinishes(const std::vector<double>& finish, uint64_t* h) {
   for (double f : finish) HashDouble("f", f, h);

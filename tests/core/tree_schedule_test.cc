@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "cost/parallelize_cache.h"
+#include "exec/trace.h"
 #include "io/schedule_export.h"
 #include "resource/usage_model.h"
 #include "test_util.h"
@@ -291,6 +292,32 @@ TEST(PhasePlannerTest, RejectsNegativeGranularityAtCreate) {
   EXPECT_TRUE(PhasePlanner::Create(fx.op_tree, fx.task_tree, fx.costs,
                                    CostParams{}, Machine(16), usage, options)
                   .ok());
+}
+
+TEST(TreeScheduleTest, TraceNamesTheSiteChoiceThatRan) {
+  PlanFixture fx = BushyFourWayFixture();
+  OverlapUsageModel usage(0.5);
+  for (SiteChoice choice :
+       {SiteChoice::kLeastLoaded, SiteChoice::kFirstAllowable}) {
+    ScheduleTrace trace(ScheduleTrace::CountingClock());
+    TreeScheduleOptions options;
+    options.list_options.site_choice = choice;
+    options.trace = &trace;
+    ASSERT_TRUE(TreeSchedule(fx.op_tree, fx.task_tree, fx.costs,
+                             CostParams{}, Machine(8), usage, options)
+                    .ok());
+    const char* expected =
+        choice == SiteChoice::kLeastLoaded ? "indexed" : "first_allowable";
+    int phases = 0;
+    for (const TraceSpan& span : trace.spans()) {
+      if (span.name != "operator_schedule") continue;
+      ++phases;
+      const std::string* placement = span.FindAttr("placement");
+      ASSERT_NE(placement, nullptr);
+      EXPECT_EQ(*placement, expected);
+    }
+    EXPECT_EQ(phases, fx.task_tree.num_phases());
+  }
 }
 
 TEST(TreeScheduleTest, SingleSiteMachineWorks) {

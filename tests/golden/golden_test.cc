@@ -172,7 +172,7 @@ GoldenListSchedule MakeGoldenListSchedule(TraceSink* trace = nullptr) {
   g.fx = BushyFourWayFixture();
   OverlapUsageModel usage(0.5);
   ListScheduleOptions options;
-  options.trace = trace;
+  options.tree.trace = trace;
   auto result = ListSchedule(g.fx.op_tree, g.fx.task_tree, g.fx.costs,
                              CostParams{}, g.machine, usage, options);
   if (!result.ok()) std::abort();
@@ -256,7 +256,7 @@ GoldenListSchedule MakeGoldenPipelinedSchedule(TraceSink* trace = nullptr) {
   g.fx = PipelinedChainFixture(4, /*tuples=*/500);
   OverlapUsageModel usage(0.5);
   ListScheduleOptions options;
-  options.trace = trace;
+  options.tree.trace = trace;
   options.pipeline = true;
   auto result = ListSchedule(g.fx.op_tree, g.fx.task_tree, g.fx.costs,
                              CostParams{}, g.machine, usage, options);

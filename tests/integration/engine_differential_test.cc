@@ -177,7 +177,7 @@ void CheckCase(const DiffCase& c, int plans_per_case) {
     ASSERT_TRUE(tree.ok()) << tree.status().ToString();
 
     ListScheduleOptions list_options;
-    list_options.granularity = c.f;
+    list_options.tree.granularity = c.f;
     auto list = ListSchedule(inputs.op_tree, inputs.task_tree, inputs.costs,
                              params, machine, usage, list_options);
     ASSERT_TRUE(list.ok()) << list.status().ToString();
@@ -187,7 +187,7 @@ void CheckCase(const DiffCase& c, int plans_per_case) {
     ASSERT_TRUE(sync.ok()) << sync.status().ToString();
 
     ListScheduleOptions pipe_options;
-    pipe_options.granularity = c.f;
+    pipe_options.tree.granularity = c.f;
     pipe_options.pipeline = true;
     auto piped = ListSchedule(inputs.op_tree, inputs.task_tree, inputs.costs,
                               params, machine, usage, pipe_options);
@@ -294,7 +294,7 @@ void CheckCase(const DiffCase& c, int plans_per_case) {
         << "pipelined";
     for (bool pipeline : {false, true}) {
       ListScheduleOptions greedy_options;
-      greedy_options.granularity = c.f;
+      greedy_options.tree.granularity = c.f;
       greedy_options.pipeline = pipeline;
       greedy_options.pipeline_guard = false;
       greedy_options.tree_guard = false;

@@ -136,7 +136,7 @@ std::string CalibrateCorpus(int min_plans, double* unfitted, double* fitted,
       }
 
       ListScheduleOptions list_options;
-      list_options.granularity = c.f;
+      list_options.tree.granularity = c.f;
       auto list = ListSchedule(inputs.op_tree, inputs.task_tree, inputs.costs,
                                params, case_machine, OverlapUsageModel(c.eps),
                                list_options);

@@ -246,7 +246,7 @@ void CheckExecutionCase(const ExecDiffCase& c, int plans_per_case) {
 
     // --- LISTSCHEDULE: one timed schedule with staggered starts. ---
     ListScheduleOptions list_options;
-    list_options.granularity = c.f;
+    list_options.tree.granularity = c.f;
     auto list = ListSchedule(inputs.op_tree, inputs.task_tree, inputs.costs,
                              params, machine, usage, list_options);
     ASSERT_TRUE(list.ok()) << list.status().ToString();
@@ -264,7 +264,7 @@ void CheckExecutionCase(const ExecDiffCase& c, int plans_per_case) {
     // queues, dedicated threads) must still carry SimulateTimed's
     // timeline and stay byte-identical across thread counts. ---
     ListScheduleOptions pipe_sched_options;
-    pipe_sched_options.granularity = c.f;
+    pipe_sched_options.tree.granularity = c.f;
     pipe_sched_options.pipeline = true;
     auto piped = ListSchedule(inputs.op_tree, inputs.task_tree, inputs.costs,
                               params, machine, usage, pipe_sched_options);

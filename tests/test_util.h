@@ -2,6 +2,8 @@
 #define MRS_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -137,6 +139,28 @@ inline uint64_t FuzzSeed(uint64_t fallback) {
   const char* env = std::getenv("MRS_FUZZ_SEED");
   if (env == nullptr || *env == '\0') return fallback;
   return std::strtoull(env, nullptr, 10);
+}
+
+/// FNV-1a over `text`, folded into `*h`: the digest the *MatchesParent
+/// tests pin a whole result set with.
+inline void Fnv1a(const char* text, uint64_t* h) {
+  for (const char* c = text; *c != '\0'; ++c) {
+    *h ^= static_cast<unsigned char>(*c);
+    *h *= 1099511628211ull;
+  }
+}
+
+/// Folds one "%a"-formatted (bit-exact) double into the digest.
+inline void HashDouble(const char* tag, double v, uint64_t* h) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%s %a\n", tag, v);
+  Fnv1a(buf, h);
+}
+
+inline void HashInt(const char* tag, long long v, uint64_t* h) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%s %lld\n", tag, v);
+  Fnv1a(buf, h);
 }
 
 /// Capacity feasibility of a reported timeline (paper eq. (2), A2/A3),
